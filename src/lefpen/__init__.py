@@ -16,12 +16,9 @@ from .words import (
     GeneratorConjugate,
     RankMismatch,
     artin_apply,
-    braid_eq,
     braid_from_str,
     braid_to_str,
     conjugate,
-    free_inv,
-    free_mul,
     half_twist,
     is_generator_conjugate,
     supporting_pair,
@@ -33,7 +30,6 @@ from .fiber import (
     FiberElement,
     FiberModel,
     ModelMismatch,
-    PunctureArc,
     UnsupportedCycle,
     act,
     base_half_twist,

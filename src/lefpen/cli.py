@@ -28,17 +28,18 @@ from .pencil import (
     enumerate_arcs,
     hurwitz_apply,
     in_gamma_detail,
-    pencil_from_json,
+    load_pencil,
     pencil_to_json,
 )
 from .transversal import (
+    CPoly,
+    DeformedMorse,
+    LocalTransInstance,
     MorseModel,
-    ThresholdError,
     VerificationError,
     ball_grid,
     build_cutoff,
     deform_grid,
-    deform_morse,
     find_good_w0,
     min_admissible_k,
     power_profile,
@@ -52,6 +53,8 @@ from .transversal import (
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
 
+FD_SAMPLES, FD_SEED = 24, 7  # verify deform's gradient vs central differences
+
 
 def _numpy_default(obj):
     if isinstance(obj, np.bool_):
@@ -64,7 +67,7 @@ def _numpy_default(obj):
 
 
 def _emit(report, out_path):
-    text = json.dumps(report, indent=2, sort_keys=True, default=_numpy_default) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_numpy_default) + "\n"
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -77,14 +80,9 @@ def _fail(message):
     return USAGE
 
 
-def _load_pencil(path):
-    with open(path) as fh:
-        return pencil_from_json(json.load(fh))
-
-
 def cmd_pencil_validate(args):
     try:
-        P = _load_pencil(args.file)
+        P = load_pencil(args.file)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         return _fail("invalid pencil file: %s" % e)
     report = {"ok": True, "r": P.r, "fiber": pencil_to_json(P)["fiber"]}
@@ -102,7 +100,7 @@ def cmd_pencil_validate(args):
 
 def cmd_pencil_hurwitz(args):
     try:
-        P = _load_pencil(args.file)
+        P = load_pencil(args.file)
         b = braid_from_str(P.r, args.braid)
     except (OSError, ValueError, json.JSONDecodeError) as e:
         return _fail(str(e))
@@ -119,7 +117,7 @@ def cmd_pencil_hurwitz(args):
 
 def cmd_pencil_matching(args):
     try:
-        P = _load_pencil(args.file)
+        P = load_pencil(args.file)
     except (OSError, ValueError, json.JSONDecodeError) as e:
         return _fail(str(e))
     if args.max_len < 0:
@@ -144,7 +142,7 @@ def cmd_pencil_matching(args):
 
 def cmd_pencil_gamma_check(args):
     try:
-        P = _load_pencil(args.file)
+        P = load_pencil(args.file)
         with open(args.auto) as fh:
             A = automorphism_from_json(P.fiber, P.r, json.load(fh))
     except (OSError, ValueError, json.JSONDecodeError) as e:
@@ -163,9 +161,8 @@ def cmd_pencil_gamma_check(args):
 def cmd_verify_cutoff(args):
     try:
         profile = build_cutoff(args.k, args.D, args.c0)
-    except ThresholdError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return USAGE
+    except ValueError as e:
+        return _fail(str(e))
     slope = profile.slope_check()
     endpoint_flat = profile.value(profile.t_flat)
     endpoint_one = profile.value(profile.t_one)
@@ -198,13 +195,12 @@ def cmd_verify_cutoff(args):
 def cmd_verify_deform(args):
     try:
         profile = build_cutoff(args.k, args.D, args.c0)
-    except ThresholdError as e:
-        sys.stderr.write("error: %s\n" % e)
-        return USAGE
+    except ValueError as e:
+        return _fail(str(e))
     if args.n < 1:
         return _fail("--n must be a positive dimension")
     model = MorseModel.quadratic(args.n, value=0.5)
-    h = deform_morse(model, profile)
+    h = DeformedMorse(model, profile)
     grid = deform_grid(model, profile)
     report = verify_deform_bounds(h, grid)
     fd = _deform_fd_check(h, profile)
@@ -223,12 +219,12 @@ def cmd_verify_deform(args):
     return OK if hard else CHECK_FAILED
 
 
-def _deform_fd_check(h, profile, samples=24, seed=7):
+def _deform_fd_check(h, profile):
     """Gradient evaluator vs central differences at random interior points."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FD_SEED)
     n = h.model.n
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(FD_SAMPLES):
         t = rng.uniform(profile.t_pow_lo * 1.05, profile.t_pow_hi * 0.95)
         d = rng.normal(size=n)
         x = t * d / np.linalg.norm(d)
@@ -240,10 +236,16 @@ def _deform_fd_check(h, profile, samples=24, seed=7):
             e[j] = step
             num[j] = (h.value(x + e) - h.value(x - e)) / (2.0 * step)
         worst = max(worst, float(np.max(np.abs(g - num)) / max(np.linalg.norm(g), 1e-12)))
-    return {"samples": samples, "max_rel_err": worst}
+    return {"samples": FD_SAMPLES, "max_rel_err": worst}
 
 
 def cmd_verify_localtrans(args):
+    if args.trials < 1:
+        return _fail("--trials must be positive")
+    try:  # the instance's own parameter checks, on a probe instance
+        LocalTransInstance(CPoly(1, {}), CPoly(1, {}), args.kappa, args.delta, args.pexp)
+    except ValueError as e:
+        return _fail(str(e))
     rng = np.random.default_rng(args.seed)
     successes = 0
     area_ok = 0
@@ -275,7 +277,7 @@ def cmd_verify_localtrans(args):
                 "area_claim_ok": cert.area_claim_ok,
             }
         )
-    rate = successes / args.trials if args.trials else 0.0
+    rate = successes / args.trials
     hard = worst_residual < 1e-10 and rate >= 0.95
     report = {
         "seed": args.seed,
@@ -297,6 +299,8 @@ def cmd_verify_localtrans(args):
 
 
 def cmd_verify_radial(args):
+    if args.samples < 1:
+        return _fail("--samples must be positive")
     rng = np.random.default_rng(args.seed)
     worst = {"jacobian_rel_err": 0.0, "det_rel_err": 0.0, "eig_rel_err": 0.0}
     bounds_ok = True

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .words import Braid, FreeWord, artin_apply, word_from_str, word_to_str
+from .words import Braid, FreeWord, artin_apply, braid_from_str, half_twist, word_from_str, word_to_str
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -396,30 +396,13 @@ def intersection_number(c1, c2):
     return 2, LOWER_BOUND
 
 
-@dataclass(frozen=True)
-class PunctureArc:
-    """An arc between two punctures of a disc fiber (same encoding as Arc)."""
-
-    base: int
-    carrier: Braid
-
-    def __post_init__(self):
-        if not 1 <= self.base <= self.carrier.strands - 1:
-            raise ValueError("puncture arc base out of range")
-
-    @property
-    def punctures(self):
-        return self.carrier.strands
-
-
 def base_half_twist(d, model):
     """Half-twist of the fiber exchanging the arc's two punctures."""
     if model.kind != DISC:
         raise ModelMismatch("base half-twists live in the disc model")
-    if d.punctures != model.punctures:
+    if d.strands != model.punctures:
         raise ValueError("puncture arc strand count does not match the model")
-    tw = d.carrier * Braid.generator(model.punctures, d.base) * d.carrier.inverse()
-    return FiberElement(model, braid=tw)
+    return FiberElement(model, braid=half_twist(d))
 
 
 # --- JSON-compatible encodings ------------------------------------------
@@ -467,8 +450,6 @@ def element_to_json(g):
 
 
 def element_from_json(model, doc):
-    from .words import braid_from_str
-
     if model.kind == DISC:
         return FiberElement(model, braid=braid_from_str(model.punctures, doc))
     d = model.dim

@@ -58,6 +58,7 @@ from .fiber import (
     SP,
     FiberElement,
     ModelMismatch,
+    _as_range,
     act,
     base_half_twist,
     cycle_eq,
@@ -299,7 +300,7 @@ def base_twist_automorphism(a, d, P):
     tau = base_half_twist(d, P.fiber)
 
     pulled = act(FiberElement(P.fiber, braid=d.carrier.inverse()), s1)
-    rng = _range_of(pulled)
+    rng = _as_range(pulled.word.letters)
     if rng is None:
         raise HypothesisError("i", "S' is not in the supported standard position for delta")
     lo, hi = rng
@@ -321,12 +322,6 @@ def base_twist_automorphism(a, d, P):
         # inverse fiber twist under this library's composition convention.
         raise HypothesisError("membership", "stabilizer check failed: %r" % (detail,))
     return A
-
-
-def _range_of(c):
-    from .fiber import _as_range
-
-    return _as_range(c.word.letters) if c.word is not None else None
 
 
 def dual_singularity_braid(kind, a):
@@ -480,9 +475,3 @@ def automorphism_from_json(model, r, doc):
 def load_pencil(path):
     with open(path) as fh:
         return pencil_from_json(json.load(fh))
-
-
-def save_pencil(P, path):
-    with open(path, "w") as fh:
-        json.dump(pencil_to_json(P), fh, indent=2, sort_keys=True)
-        fh.write("\n")

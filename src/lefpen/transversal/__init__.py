@@ -10,10 +10,7 @@ from .morse import (
     DeformedMorse,
     MorseModel,
     QuadraticBackground,
-    check_gradient_transversality,
-    circle_pair,
     deform_grid,
-    deform_morse,
     verify_deform_bounds,
 )
 from .localtrans import (
@@ -24,6 +21,7 @@ from .localtrans import (
     ball_grid,
     dw_dz_bound_check,
     dw_dz_jacobian,
+    eta_margin,
     eta_transverse_check,
     find_good_w0,
     random_instance,

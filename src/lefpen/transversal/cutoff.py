@@ -37,6 +37,9 @@ from numpy.polynomial import Polynomial
 _SMOOTHSTEP = Polynomial([0.0, 0.0, 0.0, 10.0, -15.0, 6.0])
 _BUMP = Polynomial([0.0, 0.0, 0.0, 1.0, -3.0, 3.0, -1.0])  # u^3 (1-u)^3
 
+SLOPE_SAMPLES, SLOPE_PAD = 10_000, 1e-6  # slope_check's log-spaced points
+BOUND_SAMPLES = 2000  # derivative_bound_report's points per band
+
 
 def _band_integral(poly, c):
     """integral_0^1 poly(u) / (c + u) du, exactly (polynomial part + log)."""
@@ -139,6 +142,9 @@ class CutoffProfile:
     """
 
     def __init__(self, k, D, c0):
+        for name, value in (("k", k), ("D", D), ("c0", c0)):
+            if not 0.0 < value < np.inf:
+                raise ValueError("%s must be finite and positive, got %g" % (name, value))
         min_k = min_admissible_k(D, c0)
         if k < min_k:
             raise ThresholdError(k, min_k)
@@ -233,15 +239,15 @@ class CutoffProfile:
             },
         }
 
-    def slope_check(self, samples=10_000, pad=1e-6):
+    def slope_check(self):
         """Check 0 > l'/l >= -(1/2 + eps)/t on the open deformation range.
 
         Samples log-spaced points on (D, 3 sqrt(k) c0 / 4); reports the
         worst margins observed.
         """
-        lo = self.t_flat * (1.0 + pad)
-        hi = self.t_one * (1.0 - pad)
-        t = np.geomspace(lo, hi, samples)
+        lo = self.t_flat * (1.0 + SLOPE_PAD)
+        hi = self.t_one * (1.0 - SLOPE_PAD)
+        t = np.geomspace(lo, hi, SLOPE_SAMPLES)
         ratio = self.d1(t) / self.value(t)
         bound = -self.beta / t
         upper_margin = float(np.max(ratio))          # must be < 0
@@ -249,15 +255,15 @@ class CutoffProfile:
         ok = upper_margin < 0.0 and lower_margin >= -1e-12
         return {
             "ok": bool(ok),
-            "samples": int(samples),
+            "samples": SLOPE_SAMPLES,
             "max_slope_ratio": upper_margin,
             "min_margin_above_bound": lower_margin,
         }
 
-    def derivative_bound_report(self, samples=2000):
+    def derivative_bound_report(self):
         """Observed dimensionless constants of the two bridge bands."""
-        b1 = np.linspace(self.t_flat, self.t_pow_lo, samples)[1:-1]
-        b2 = np.linspace(self.t_pow_hi, self.t_one, samples)[1:-1]
+        b1 = np.linspace(self.t_flat, self.t_pow_lo, BOUND_SAMPLES)[1:-1]
+        b2 = np.linspace(self.t_pow_hi, self.t_one, BOUND_SAMPLES)[1:-1]
         k4 = self.top
         return {
             "eps2": float(np.max(np.abs(self.d1(b1))) * self.D / k4),

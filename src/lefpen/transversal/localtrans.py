@@ -25,6 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+SUP_RESOLUTION = 101  # grid resolution for the sampled sup bounds of p and q
+MAX_DEGREE = 4  # of the random instances' p and q
+FD_STEP = 1e-7  # of the dw/dz spot check
+C = 4.0  # w0 keeps clear of the C sigma-neighborhood of the near-critical image
+REVERIFY_FACTOR = 2  # reverify's grid is about this many times finer
+
 
 class VerificationError(RuntimeError):
     """The selected w0 failed the brute-force transversality check."""
@@ -152,9 +158,9 @@ class LocalTransInstance:
     def sigma(self):
         return sigma_of(self.delta, self.pexp)
 
-    def validate(self, resolution=101):
+    def validate(self):
         """Check the sampled sup bounds on the 11/10-ball."""
-        z = ball_grid(1.1, resolution, self.n)
+        z = ball_grid(1.1, SUP_RESOLUTION, self.n)
         sup_p = float(np.max(np.abs(self.p(z))))
         sup_q = float(np.max(np.abs(self.q(z))))
         if sup_p > 1.0 + 1e-12:
@@ -222,7 +228,7 @@ def dw_dz_jacobian(p, q, z):
     return -np.linalg.solve(m_w, m_z)
 
 
-def dw_dz_bound_check(p, q, z, kappa, step=1e-7):
+def dw_dz_bound_check(p, q, z, kappa):
     """Spot check |dw/dz| <= 2 kappa^-1 |l(z)| by finite differences (n = 1)."""
     if p.n != 1:
         raise ValueError("the dw/dz spot check is univariate")
@@ -230,8 +236,8 @@ def dw_dz_bound_check(p, q, z, kappa, step=1e-7):
     w0 = solve_w(p, q, z)
     dp, dq = p.deriv(), q.deriv()
     l = np.abs(dp(z) - np.conj(w0) * dq(z))
-    wx = (solve_w(p, q, z + step) - solve_w(p, q, z - step)) / (2.0 * step)
-    wy = (solve_w(p, q, z + 1j * step) - solve_w(p, q, z - 1j * step)) / (2.0 * step)
+    wx = (solve_w(p, q, z + FD_STEP) - solve_w(p, q, z - FD_STEP)) / (2.0 * FD_STEP)
+    wy = (solve_w(p, q, z + 1j * FD_STEP) - solve_w(p, q, z - 1j * FD_STEP)) / (2.0 * FD_STEP)
     # operator norm of the real 2x2 Jacobian with columns (wx, wy)
     norms = np.empty(z.shape)
     flat_wx, flat_wy = wx.ravel(), wy.ravel()
@@ -251,6 +257,12 @@ def dw_dz_bound_check(p, q, z, kappa, step=1e-7):
     }
 
 
+def eta_margin(fnorm, dnorm):
+    """The largest eta for which the samples are eta-transverse: every sample
+    with |f| < eta has |df| >= eta iff eta <= max(|f|, |df|) at every sample."""
+    return float(np.min(np.maximum(fnorm, dnorm), initial=np.inf))
+
+
 def eta_transverse_check(f, df, grid, eta):
     """Estimated transversality of a complex function on a grid.
 
@@ -265,8 +277,7 @@ def eta_transverse_check(f, df, grid, eta):
         dnorm = np.sqrt(np.sum(np.abs(dv) ** 2, axis=-1))
     else:
         dnorm = np.abs(dv)
-    mask = fv < eta
-    return bool(np.all(dnorm[mask] >= eta)) if np.any(mask) else True
+    return eta_margin(fv, dnorm) >= eta
 
 
 @dataclass(frozen=True)
@@ -320,7 +331,7 @@ def _flood_components(free, res):
     return labels, count
 
 
-def _attempt(inst, graph_resolution, w_resolution, verify_resolution, C):
+def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     sigma = inst.sigma
     dp = inst.p.deriv()
     dq = inst.q.deriv()
@@ -335,14 +346,12 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution, C):
     wr, wi = np.meshgrid(axis, axis, indexing="ij")
     w_flat = (wr + 1j * wi).ravel()
     in_disc = np.abs(w_flat) <= inst.delta
+    dist = np.full(w_flat.shape, np.inf)
     if bad_images.size:
-        dist = np.full(w_flat.shape, np.inf)
         chunk = 4096
         for lo in range(0, w_flat.size, chunk):
             block = w_flat[lo : lo + chunk, None] - bad_images[None, :]
             dist[lo : lo + chunk] = np.min(np.abs(block), axis=1)
-    else:
-        dist = np.full(w_flat.shape, np.inf)
     free = (in_disc & (dist > C * sigma)).reshape(w_resolution, w_resolution)
 
     cell = (axis[1] - axis[0]) ** 2
@@ -359,20 +368,14 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution, C):
     zv = ball_grid(1.0, verify_resolution, 1)
     s = inst.p(zv) - w0 - np.conj(w0) * inst.q(zv)
     ds = dp(zv) - np.conj(w0) * dq(zv)
-    margin = float(np.min(np.maximum(np.abs(s), np.abs(ds))))
-    ok = eta_transverse_check(
-        lambda grid_: inst.p(grid_) - w0 - np.conj(w0) * inst.q(grid_),
-        lambda grid_: dp(grid_) - np.conj(w0) * dq(grid_),
-        zv,
-        sigma,
-    )
+    margin = eta_margin(np.abs(s), np.abs(ds))
     detail = {
         "w0": w0,
         "margin": margin,
         "clearance_area": clearance_area,
         "residual": residual,
     }
-    if not ok or margin < sigma:
+    if margin < sigma:
         worst = int(np.argmin(np.maximum(np.abs(s), np.abs(ds))))
         detail["failing_point"] = complex(zv[worst])
         detail["failing_margins"] = (float(np.abs(s[worst])), float(np.abs(ds[worst])))
@@ -380,13 +383,7 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution, C):
     return detail, residual, None
 
 
-def find_good_w0(
-    inst,
-    graph_resolution=201,
-    w_resolution=201,
-    verify_resolution=201,
-    C=4.0,
-):
+def find_good_w0(inst, graph_resolution=201, w_resolution=201, verify_resolution=201):
     """Select and certify a good perturbation value w0 for the instance.
 
     Computes the graph w(z) over the 11/10-ball, its near-critical image,
@@ -403,7 +400,7 @@ def find_good_w0(
     ]
     last_detail = None
     for spec in attempt_specs:
-        detail, residual, failure = _attempt(inst, *spec, C)
+        detail, residual, failure = _attempt(inst, *spec)
         if residual > 1e-10:
             raise VerificationError(
                 "graph residual %g exceeds 1e-10" % residual, margins={"residual": residual}
@@ -430,9 +427,9 @@ def find_good_w0(
     )
 
 
-def reverify(inst, cert, factor=2):
+def reverify(inst, cert):
     """Independent re-check of a certificate on a finer unit-ball grid."""
-    res = factor * cert.grid["verify_resolution"] - 1
+    res = REVERIFY_FACTOR * cert.grid["verify_resolution"] - 1
     zv = ball_grid(1.0, res, 1)
     dp, dq = inst.p.deriv(), inst.q.deriv()
     return eta_transverse_check(
@@ -443,13 +440,13 @@ def reverify(inst, cert, factor=2):
     )
 
 
-def random_instance(rng, degree=4, kappa=0.2, delta=0.1, pexp=2, resolution=101):
+def random_instance(rng, kappa=0.2, delta=0.1, pexp=2):
     """A seeded random univariate instance normalized to the sup bounds."""
-    z = ball_grid(1.1, resolution, 1)
+    z = ball_grid(1.1, SUP_RESOLUTION, 1)
 
     def draw(sup_target, min_degree=0):
         while True:
-            deg = int(rng.integers(min_degree, degree + 1))
+            deg = int(rng.integers(min_degree, MAX_DEGREE + 1))
             coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
             poly = CPoly.univariate(list(coeffs))
             sup = float(np.max(np.abs(poly(z))))

@@ -28,6 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .localtrans import eta_margin
+
+CORE_RADII, OUTER_RADII = 24, 12  # deform_grid's radii on the flat core and where l = 1
+
 
 @dataclass(frozen=True)
 class CriticalPoint:
@@ -195,12 +199,7 @@ class DeformedMorse:
         return self.jets(x)[3]
 
 
-def deform_morse(model, profile):
-    """Attach a cutoff profile to a Morse model; raises on bad separation."""
-    return DeformedMorse(model, profile)
-
-
-def deform_grid(model, profile, radial=160, angular=24, core=24, outer=12):
+def deform_grid(model, profile, radial=160, angular=24):
     """Sample points covering the flat core, both bands, the power annulus
     and a thin collar outside the deformation ball.
 
@@ -211,9 +210,9 @@ def deform_grid(model, profile, radial=160, angular=24, core=24, outer=12):
     sqrt_k = float(np.sqrt(profile.k))
     radii = np.concatenate(
         [
-            np.linspace(0.0, profile.t_flat, core, endpoint=False),
+            np.linspace(0.0, profile.t_flat, CORE_RADII, endpoint=False),
             np.geomspace(profile.t_flat, profile.t_one, radial, endpoint=False),
-            np.linspace(profile.t_one, sqrt_k * profile.c0, outer),
+            np.linspace(profile.t_one, sqrt_k * profile.c0, OUTER_RADII),
             np.linspace(sqrt_k * profile.c0 * 1.01, sqrt_k * profile.c0 * 1.25, 4)
             if model.background is not None
             else np.empty(0),
@@ -245,7 +244,7 @@ def verify_deform_bounds(h, grid):
 
     The transversality constant is the largest eta such that every grid
     point with |grad| < eta has Hessian smallest singular value >= eta,
-    found by bisection.
+    that is eta_margin(|grad|, smallest singular value).
     """
     grads = np.empty(len(grid))
     sigmas = np.empty(len(grid))
@@ -255,37 +254,12 @@ def verify_deform_bounds(h, grid):
         grads[i] = np.linalg.norm(g)
         sigmas[i] = np.linalg.svd(hess, compute_uv=False)[-1]
         thirds[i] = np.linalg.norm(t3)
-
-    def transverse(eta):
-        mask = grads < eta
-        return bool(np.all(sigmas[mask] >= eta)) if np.any(mask) else True
-
-    lo, hi = 0.0, float(np.max(sigmas)) + 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if transverse(mid):
-            lo = mid
-        else:
-            hi = mid
     return {
         "points": int(len(grid)),
         "maxGrad": float(np.max(grads)),
-        "etaObserved": float(lo),
+        "etaObserved": eta_margin(grads, sigmas),
         "maxThird": float(np.max(thirds)),
     }
-
-
-def check_gradient_transversality(h, grid, eta):
-    """True iff every grid point with |grad h| < eta has Hessian smallest
-    singular value >= eta.  eta = 0 is vacuously true (empty test set)."""
-    if eta == 0:
-        return True
-    for x in grid:
-        _, g, hess, _ = h.jets(x)
-        if np.linalg.norm(g) < eta:
-            if np.linalg.svd(hess, compute_uv=False)[-1] < eta:
-                return False
-    return True
 
 
 class CirclePair:
@@ -328,7 +302,3 @@ class CirclePair:
             h2 = -s * outer + c * hess
             d2max = max(d2max, np.linalg.norm(h1), np.linalg.norm(h2))
         return {"max_first_derivative": float(d1max), "max_second_derivative": float(d2max)}
-
-
-def circle_pair(h):
-    return CirclePair(h)

@@ -46,7 +46,7 @@ def _fd_jacobian(l, x, step):
     return jac
 
 
-def radial_map_check(l, dl, x, fd_step=None):
+def radial_map_check(l, dl, x):
     """Verify the linearization of x -> l(|x|) x at the point x.
 
     ``l`` and ``dl`` are callables for the profile and its derivative.
@@ -66,7 +66,7 @@ def radial_map_check(l, dl, x, fd_step=None):
         raise ValueError("precondition failed: l'/l >= -3/(4t) violated at t=%g" % t)
 
     jac = radial_jacobian(l, dl, x)
-    step = fd_step if fd_step is not None else (np.finfo(float).eps ** (1 / 3)) * max(t, 1.0)
+    step = (np.finfo(float).eps ** (1 / 3)) * max(t, 1.0)
     jac_fd = _fd_jacobian(l, x, step)
     jac_err = float(np.max(np.abs(jac - jac_fd)) / lv)
 

@@ -90,10 +90,7 @@ class FreeWord:
 
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
-        out = FreeWord.identity(self.rank)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return FreeWord(self.rank, base.letters * abs(n))
 
     def is_identity(self):
         return not self.letters
@@ -116,15 +113,6 @@ class FreeWord:
 
     def __str__(self):
         return word_to_str(self)
-
-
-def free_mul(u, v):
-    """Product in the free group; the result is freely reduced."""
-    return u * v
-
-
-def free_inv(u):
-    return u.inverse()
 
 
 def conjugate(u, g):
@@ -180,8 +168,8 @@ class Braid:
     """A braid word on ``strands`` strands.
 
     The stored word is freely reduced (``s_i s_i^-1`` pairs cancel) but is
-    otherwise kept verbatim; group equality goes through the Artin action,
-    see :func:`braid_eq` and ``__eq__``.
+    otherwise kept verbatim; group equality (``==``) goes through the Artin
+    action.
     """
 
     __slots__ = ("strands", "letters", "_action")
@@ -217,10 +205,7 @@ class Braid:
 
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
-        out = Braid.identity(self.strands)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return Braid(self.strands, base.letters * abs(n))
 
     def is_identity(self):
         return all(img == FreeWord.generator(self.strands, i) for i, img in self.action())
@@ -299,13 +284,6 @@ def artin_apply(b, u):
                     out.append(t)
         letters = tuple(out)
     return FreeWord(u.rank, letters)
-
-
-def braid_eq(b1, b2):
-    """Equality in the braid group, via the faithful action on F_r."""
-    if b1.strands != b2.strands:
-        raise RankMismatch("braids on different strand counts")
-    return b1 == b2
 
 
 @dataclass(frozen=True)

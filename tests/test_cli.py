@@ -148,6 +148,26 @@ def test_verify_localtrans(capsys):
         assert cert["ok"] and cert["margin"] >= doc["sigma"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cutoff", "--k", "nan", "--D", "1"],
+        ["verify", "cutoff", "--k", "10000", "--D", "-1"],
+        ["verify", "localtrans", "--seed", "1", "--trials", "2", "--delta", "0.7"],
+        ["verify", "localtrans", "--seed", "1", "--trials", "2", "--kappa", "1.5"],
+        ["verify", "localtrans", "--seed", "1", "--trials", "0"],
+        ["verify", "radial", "--samples", "0"],
+    ],
+    ids=["cutoff-k-nan", "cutoff-D-negative", "localtrans-delta", "localtrans-kappa", "zero-trials", "zero-samples"],
+)
+def test_bad_input_exits_2_with_one_error_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["pencil", "validate", "x.json", "--frobnicate"])

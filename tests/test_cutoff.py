@@ -57,7 +57,7 @@ def test_eps_range_at_threshold():
 @pytest.mark.parametrize("k,D", [(1e3, 1), (1e4, 1), (1e4, 2), (1e5, 1), (1e5, 2)])
 def test_slope_inequality(k, D):
     p = build_cutoff(k, D, 1.0)
-    rep = p.slope_check(samples=10_000)
+    rep = p.slope_check()
     assert rep["ok"], rep
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from lefpen.words import Braid
+from lefpen.words import Arc, Braid
 from lefpen.fiber import (
     EXACT,
     LOWER_BOUND,
@@ -10,7 +10,6 @@ from lefpen.fiber import (
     FiberElement,
     FiberModel,
     ModelMismatch,
-    PunctureArc,
     UnsupportedCycle,
     act,
     base_half_twist,
@@ -208,7 +207,7 @@ def test_disc_intersection_ranges():
 
 def test_base_half_twist():
     m = FiberModel.disc(2)
-    d = PunctureArc(1, Braid(2))
+    d = Arc(1, Braid(2))
     tw = base_half_twist(d, m)
     assert tw.braid == Braid(2, (1,))
     # its square is the twist about the curve enclosing punctures 1, 2

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lefpen.transversal.localtrans import (
     CPoly,
@@ -10,6 +13,7 @@ from lefpen.transversal.localtrans import (
     ball_grid,
     dw_dz_bound_check,
     dw_dz_jacobian,
+    eta_margin,
     eta_transverse_check,
     find_good_w0,
     random_instance,
@@ -123,6 +127,19 @@ def test_eta_transverse_check_examples():
     assert not eta_transverse_check(square, square.deriv(), grid, 0.05)
     const = CPoly.univariate([0.9])
     assert eta_transverse_check(const, const.deriv(), grid, 0.5)  # vacuous
+
+
+# few distinct values, so that eta often ties with a sample
+_norms = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 4.0)
+
+
+@given(st.data())
+def test_eta_margin_matches_reference_mask(data):
+    n = data.draw(st.integers(0, 20))
+    f = data.draw(arrays(np.float64, n, elements=_norms))
+    d = data.draw(arrays(np.float64, n, elements=_norms))
+    eta = data.draw(st.sampled_from([0.0] + np.concatenate([f, d]).tolist()) | _norms)
+    assert (eta_margin(f, d) >= eta) == bool(np.all(d[f < eta] >= eta))
 
 
 def test_find_good_w0_reference_instance():

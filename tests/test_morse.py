@@ -5,12 +5,10 @@ from lefpen.transversal.cutoff import build_cutoff
 from lefpen.transversal.morse import (
     CirclePair,
     CriticalPoint,
+    DeformedMorse,
     MorseModel,
     QuadraticBackground,
-    check_gradient_transversality,
-    circle_pair,
     deform_grid,
-    deform_morse,
     verify_deform_bounds,
 )
 
@@ -19,7 +17,7 @@ from lefpen.transversal.morse import (
 def deformed():
     model = MorseModel.quadratic(2, value=0.5)
     profile = build_cutoff(1e4, 1.0, 1.0)
-    return deform_morse(model, profile)
+    return DeformedMorse(model, profile)
 
 
 def num_grad(f, x, h):
@@ -133,7 +131,7 @@ def test_annulus_gradient_bound(deformed):
 def test_three_dimensional_model():
     model = MorseModel.quadratic(3, value=0.2, signs=(1, -1, 1))
     profile = build_cutoff(1e4, 1.0, 1.0)
-    h = deform_morse(model, profile)
+    h = DeformedMorse(model, profile)
     v, g, hess, _ = h.jets([0.0, 0.0, 0.0])
     assert v == pytest.approx(20.0)
     assert np.allclose(hess, np.diag([2.0, -2.0, 2.0]))
@@ -155,7 +153,7 @@ def test_third_derivative_scales_like_one_over_D():
     vals = []
     for D in (1.0, 2.0):
         model = MorseModel.quadratic(2, value=0.5)
-        h = deform_morse(model, build_cutoff(1e5, D, 1.0))
+        h = DeformedMorse(model, build_cutoff(1e5, D, 1.0))
         rep = verify_deform_bounds(h, deform_grid(model, h.profile, radial=80, angular=12))
         vals.append(rep["maxThird"] * D)
     assert max(vals) / min(vals) < 3.0
@@ -169,7 +167,7 @@ def test_separation_guard():
     model = MorseModel(2, crits, background=None)
     profile = build_cutoff(1e4, 1.0, 1.0)
     with pytest.raises(ValueError):
-        deform_morse(model, profile)
+        DeformedMorse(model, profile)
 
 
 def test_two_critical_points():
@@ -179,7 +177,7 @@ def test_two_critical_points():
     ]
     model = MorseModel(2, crits, background=None)
     profile = build_cutoff(1e4, 1.0, 1.0)
-    h = deform_morse(model, profile)
+    h = DeformedMorse(model, profile)
     k4 = np.sqrt(1e4)
     v0, g0, h0, _ = h.jets([0.0, 0.0])
     v1, g1, h1, _ = h.jets([3.0 * k4, 0.0])
@@ -195,12 +193,12 @@ def test_two_critical_points():
 def test_outside_without_background_errors():
     crit = CriticalPoint((0.0, 0.0), 0.0, (1, -1))
     model = MorseModel(2, [crit], background=None)
-    h = deform_morse(model, build_cutoff(1e4, 1.0, 1.0))
+    h = DeformedMorse(model, build_cutoff(1e4, 1.0, 1.0))
     with pytest.raises(ValueError):
         h.value([2 * h.ball_radius, 0.0])
 
 
-def test_check_gradient_transversality():
+def test_eta_observed_transversality():
     # h(x) = |x|^2: gradient small only near 0 where the Hessian is 2 Id
     model = MorseModel.quadratic(2, value=0.0, signs=(1, 1))
     quad = QuadraticBackground(model.crits[0])
@@ -211,8 +209,9 @@ def test_check_gradient_transversality():
             return v, g, hess, t3
 
     pts = [np.array([r * np.cos(a), r * np.sin(a)]) for r in (0.0, 0.3, 0.9) for a in (0.0, 1.0, 2.5)]
-    assert check_gradient_transversality(Plain(), pts, 1.0)
-    assert check_gradient_transversality(Plain(), pts, 0.0)  # vacuous convention
+    eta = verify_deform_bounds(Plain(), pts)["etaObserved"]
+    assert eta >= 1.0
+    assert eta >= 0.0  # vacuous convention
 
     class Cubic:  # degenerate critical point at 0
         def jets(self, x):
@@ -220,7 +219,7 @@ def test_check_gradient_transversality():
             return t**3, np.array([3 * t**2]), np.array([[6 * t]]), np.zeros((1, 1, 1))
 
     pts1 = [np.array([t]) for t in np.linspace(-0.5, 0.5, 21)]
-    assert not check_gradient_transversality(Cubic(), pts1, 0.1)
+    assert verify_deform_bounds(Cubic(), pts1)["etaObserved"] < 0.1
 
 
 def test_circle_pair_identity():
@@ -232,7 +231,7 @@ def test_circle_pair_identity():
 
 
 def test_circle_pair_wrappers(deformed):
-    pair = circle_pair(deformed.value)
+    pair = CirclePair(deformed.value)
     x = np.array([0.2, 0.1])
     assert pair.first(x) == pytest.approx(np.cos(deformed.value(x)))
     assert pair.second(x) == pytest.approx(np.sin(deformed.value(x)))

@@ -7,7 +7,6 @@ from lefpen.fiber import (
     Cycle,
     FiberElement,
     FiberModel,
-    PunctureArc,
     act,
     base_half_twist,
     cycle_eq,
@@ -177,7 +176,7 @@ def test_trust_flag_does_not_upgrade_disc_unknowns():
 def test_classify_arc_carrier_invariance():
     # right-composing the carrier with braids on strands away from the base
     # pair leaves the supporting pair, classification and half-twist alone
-    from lefpen.words import braid_eq, half_twist
+    from lefpen.words import half_twist
 
     for _ in range(80):
         P = rand_torus_pencil(6)
@@ -191,14 +190,14 @@ def test_classify_arc_carrier_invariance():
         b = Arc(base, carrier * tail)
         assert arc_key(a) == arc_key(b)
         assert classify_arc(a, P) == classify_arc(b, P)
-        assert braid_eq(half_twist(a), half_twist(b))
+        assert half_twist(a) == half_twist(b)
 
 
 def test_equal_supporting_pairs_give_equal_half_twists():
     # the supporting pair pins the arc, so its half-twist is well defined
     from itertools import product
 
-    from lefpen.words import braid_eq, half_twist
+    from lefpen.words import half_twist
 
     seen = {}
     comparisons = 0
@@ -210,7 +209,7 @@ def test_equal_supporting_pairs_give_equal_half_twists():
                 tw = half_twist(a)
                 if key in seen:
                     comparisons += 1
-                    assert braid_eq(seen[key], tw)
+                    assert seen[key] == tw
                 else:
                     seen[key] = tw
     assert comparisons > 50
@@ -270,7 +269,7 @@ def test_base_twist_standard_configuration():
     m = FiberModel.disc(2)
     P = Pencil(m, (standard_curve(m, 1, 1), standard_curve(m, 2, 2)))
     arc = Arc(1, Braid(2))
-    d = PunctureArc(1, Braid(2))
+    d = Arc(1, Braid(2))
     got = base_twist_automorphism(arc, d, P)
     assert got.b == Braid(2, (1,))
     assert got.g.braid == Braid(2, (1,))
@@ -285,7 +284,7 @@ def test_base_twist_standard_configuration():
 def test_base_twist_hypothesis_guards():
     m = FiberModel.disc(3)
     arc = Arc(1, Braid(2))
-    d = PunctureArc(1, Braid(3))
+    d = Arc(1, Braid(3))
     # (i): S' disjoint from delta
     bad = Pencil(m, (standard_curve(m, 3, 3), standard_curve(m, 3, 3)))
     with pytest.raises(HypothesisError) as err:
@@ -304,12 +303,12 @@ def test_base_twist_transposed_configuration():
     # pair is rejected with a clean hypothesis failure.
     m = FiberModel.disc(3)
     s1 = standard_curve(m, 2, 3)
-    tau = base_half_twist(PunctureArc(1, Braid(3)), m)
+    tau = base_half_twist(Arc(1, Braid(3)), m)
     s2 = act(tau, s1)
     c2 = act(dehn_twist(s1).inverse(), s2)
     P = Pencil(m, (s1, c2))
     with pytest.raises(HypothesisError):
-        base_twist_automorphism(Arc(1, Braid(2)), PunctureArc(1, Braid(3)), P)
+        base_twist_automorphism(Arc(1, Braid(2)), Arc(1, Braid(3)), P)
     assert in_gamma(Automorphism(Braid(2, (1,)), tau.inverse()), Pencil(m, (s1, act(dehn_twist(s1).inverse(), act(tau.inverse(), s1)))))
 
 
