@@ -39,6 +39,7 @@ from .transversal import (
     VerificationError,
     ball_grid,
     build_cutoff,
+    central_difference,
     deform_grid,
     find_good_w0,
     min_admissible_k,
@@ -83,7 +84,7 @@ def _fail(message):
 def cmd_pencil_validate(args):
     try:
         P = load_pencil(args.file)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
+    except (OSError, ValueError, json.JSONDecodeError) as e:
         return _fail("invalid pencil file: %s" % e)
     report = {"ok": True, "r": P.r, "fiber": pencil_to_json(P)["fiber"]}
     if args.closed:
@@ -228,13 +229,8 @@ def _deform_fd_check(h, profile):
         t = rng.uniform(profile.t_pow_lo * 1.05, profile.t_pow_hi * 0.95)
         d = rng.normal(size=n)
         x = t * d / np.linalg.norm(d)
-        step = 1e-6 * max(t, 1.0)
         g = h.gradient(x)
-        num = np.empty(n)
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = step
-            num[j] = (h.value(x + e) - h.value(x - e)) / (2.0 * step)
+        num = central_difference(h.value, x, 1e-6 * max(t, 1.0))
         worst = max(worst, float(np.max(np.abs(g - num)) / max(np.linalg.norm(g), 1e-12)))
     return {"samples": FD_SAMPLES, "max_rel_err": worst}
 
@@ -242,6 +238,8 @@ def _deform_fd_check(h, profile):
 def cmd_verify_localtrans(args):
     if args.trials < 1:
         return _fail("--trials must be positive")
+    if args.seed < 0:
+        return _fail("--seed must be non-negative")
     try:  # the instance's own parameter checks, on a probe instance
         LocalTransInstance(CPoly(1, {}), CPoly(1, {}), args.kappa, args.delta, args.pexp)
     except ValueError as e:
@@ -301,6 +299,8 @@ def cmd_verify_localtrans(args):
 def cmd_verify_radial(args):
     if args.samples < 1:
         return _fail("--samples must be positive")
+    if args.seed < 0:
+        return _fail("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     worst = {"jacobian_rel_err": 0.0, "det_rel_err": 0.0, "eig_rel_err": 0.0}
     bounds_ok = True

@@ -21,6 +21,7 @@ words up to rotation and inversion.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from math import gcd
 
@@ -95,6 +96,16 @@ def symplectic_pairing(u, v):
     return s
 
 
+def _integers(values, what):
+    """values as a tuple of ints; ValueError for any entry that is not an
+    integer (a float or a bool included, so nothing is truncated)."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+            raise ValueError("%s must be an integer, got %r" % (what, x))
+    return tuple(map(int, values))
+
+
 def _normalize_sign(vec):
     for x in vec:
         if x > 0:
@@ -135,7 +146,7 @@ class Cycle:
         self.model = model
         self.support = None
         if model.kind in (TORUS, SP):
-            vec = tuple(int(x) for x in vector)
+            vec = _integers(vector, "cycle vector entry")
             if len(vec) != model.dim:
                 raise ValueError("cycle vector has length %d, expected %d" % (len(vec), model.dim))
             if all(x == 0 for x in vec):
@@ -215,7 +226,7 @@ class FiberElement:
     def __init__(self, model, matrix=None, braid=None):
         self.model = model
         if model.kind in (TORUS, SP):
-            mat = tuple(tuple(int(x) for x in row) for row in matrix)
+            mat = tuple(_integers(row, "matrix entry") for row in matrix)
             d = model.dim
             if len(mat) != d or any(len(row) != d for row in mat):
                 raise ValueError("matrix must be %dx%d" % (d, d))
@@ -417,13 +428,17 @@ def model_to_json(model):
 
 
 def model_from_json(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("fiber must be an object with a 'model' field, got %r" % (doc,))
     kind = doc.get("model")
     if kind == TORUS:
         return FiberModel.torus()
-    if kind == SP:
-        return FiberModel.sp(int(doc["genus"]))
-    if kind == DISC:
-        return FiberModel.disc(int(doc["punctures"]))
+    if kind in (SP, DISC):
+        field = "genus" if kind == SP else "punctures"
+        if field not in doc:
+            raise ValueError("%s fiber needs an integer %r" % (kind, field))
+        (size,) = _integers([doc[field]], "fiber %r" % field)
+        return FiberModel(kind, **{field: size})
     raise ValueError("unknown fiber model %r" % (kind,))
 
 
@@ -451,6 +466,8 @@ def element_to_json(g):
 
 def element_from_json(model, doc):
     if model.kind == DISC:
+        if not isinstance(doc, str):
+            raise ValueError("disc fiber element must be a braid token string")
         return FiberElement(model, braid=braid_from_str(model.punctures, doc))
     d = model.dim
     if not isinstance(doc, list) or len(doc) != d * d:

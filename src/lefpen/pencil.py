@@ -455,6 +455,8 @@ def pencil_to_json(P):
 def pencil_from_json(doc):
     if not isinstance(doc, dict) or "fiber" not in doc or "cycles" not in doc:
         raise ValueError("pencil document needs 'fiber' and 'cycles'")
+    if not isinstance(doc["cycles"], list):
+        raise ValueError("pencil 'cycles' must be an array")
     model = model_from_json(doc["fiber"])
     cycles = [cycle_from_json(model, c) for c in doc["cycles"]]
     return Pencil(model, cycles)
@@ -467,6 +469,8 @@ def automorphism_to_json(A):
 def automorphism_from_json(model, r, doc):
     if not isinstance(doc, dict) or "braid" not in doc or "fiber_element" not in doc:
         raise ValueError("automorphism document needs 'braid' and 'fiber_element'")
+    if not isinstance(doc["braid"], str):
+        raise ValueError("automorphism 'braid' must be a braid token string")
     b = braid_from_str(r, doc["braid"])
     g = element_from_json(model, doc["fiber_element"])
     return Automorphism(b, g)

@@ -3,7 +3,7 @@ transversality estimates: cutoff profiles, the radial-map linearization,
 Morse-function deformations, and symmetric local perturbations."""
 
 from .cutoff import CutoffProfile, ThresholdError, build_cutoff, min_admissible_k
-from .radial import power_profile, radial_jacobian, radial_map_check
+from .radial import central_difference, power_profile, radial_jacobian, radial_map_check
 from .morse import (
     CirclePair,
     CriticalPoint,

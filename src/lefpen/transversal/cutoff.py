@@ -179,49 +179,37 @@ class CutoffProfile:
         m = np.log(self.a * self.top) - self.beta * np.log(t)
         return m, -self.beta / t, self.beta / t**2, -2.0 * self.beta / t**3
 
-    def _eval(self, t, order):
+    def jets(self, t):
+        """(l, l', l'', l''') at t, a scalar or an array, in one pass."""
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
-        out = np.zeros_like(t)
-        flat = t <= self.t_flat
-        band1 = (t > self.t_flat) & (t < self.t_pow_lo)
-        power = (t >= self.t_pow_lo) & (t <= self.t_pow_hi)
-        band2 = (t > self.t_pow_hi) & (t < self.t_one)
-        one = t >= self.t_one
-        if order == 0:
-            out[flat] = self.top
-            out[one] = 1.0
-        for mask, jets in (
-            (band1, self._inner.log_jets),
-            (band2, self._outer.log_jets),
-            (power, self._pow_log_jets),
+        out = np.zeros((4,) + t.shape)
+        out[0, t <= self.t_flat] = self.top
+        out[0, t >= self.t_one] = 1.0
+        for mask, log_jets in (
+            ((t > self.t_flat) & (t < self.t_pow_lo), self._inner.log_jets),
+            ((t > self.t_pow_hi) & (t < self.t_one), self._outer.log_jets),
+            ((t >= self.t_pow_lo) & (t <= self.t_pow_hi), self._pow_log_jets),
         ):
             if not np.any(mask):
                 continue
-            m, m1, m2, m3 = jets(t[mask])
+            m, m1, m2, m3 = log_jets(t[mask])
             l = np.exp(m)
-            if order == 0:
-                out[mask] = l
-            elif order == 1:
-                out[mask] = l * m1
-            elif order == 2:
-                out[mask] = l * (m1**2 + m2)
-            else:
-                out[mask] = l * (m1**3 + 3.0 * m1 * m2 + m3)
-        return out[0] if scalar else out
+            out[:, mask] = l, l * m1, l * (m1**2 + m2), l * (m1**3 + 3.0 * m1 * m2 + m3)
+        return tuple(out[:, 0] if scalar else out)
 
     def value(self, t):
-        return self._eval(t, 0)
+        return self.jets(t)[0]
 
     def d1(self, t):
-        return self._eval(t, 1)
+        return self.jets(t)[1]
 
     def d2(self, t):
-        return self._eval(t, 2)
+        return self.jets(t)[2]
 
     def d3(self, t):
-        return self._eval(t, 3)
+        return self.jets(t)[3]
 
     @property
     def blend(self):
@@ -248,7 +236,8 @@ class CutoffProfile:
         lo = self.t_flat * (1.0 + SLOPE_PAD)
         hi = self.t_one * (1.0 - SLOPE_PAD)
         t = np.geomspace(lo, hi, SLOPE_SAMPLES)
-        ratio = self.d1(t) / self.value(t)
+        l, l1 = self.jets(t)[:2]
+        ratio = l1 / l
         bound = -self.beta / t
         upper_margin = float(np.max(ratio))          # must be < 0
         lower_margin = float(np.min(ratio - bound))  # must be >= 0 (tolerance)
@@ -264,14 +253,17 @@ class CutoffProfile:
         """Observed dimensionless constants of the two bridge bands."""
         b1 = np.linspace(self.t_flat, self.t_pow_lo, BOUND_SAMPLES)[1:-1]
         b2 = np.linspace(self.t_pow_hi, self.t_one, BOUND_SAMPLES)[1:-1]
+        # max |l'|, |l''|, |l'''| over each band's interior
+        i1, i2, i3 = (np.max(np.abs(d)) for d in self.jets(b1)[1:])
+        o1, o2, o3 = (np.max(np.abs(d)) for d in self.jets(b2)[1:])
         k4 = self.top
         return {
-            "eps2": float(np.max(np.abs(self.d1(b1))) * self.D / k4),
-            "C_second": float(np.max(np.abs(self.d2(b1))) * self.D**2 / k4),
-            "C_third": float(np.max(np.abs(self.d3(b1))) * self.D**3 / k4),
-            "eps2_prime": float(np.max(np.abs(self.d1(b2))) * np.sqrt(self.k)),
-            "C_second_prime": float(np.max(np.abs(self.d2(b2))) * self.k),
-            "C_third_prime": float(np.max(np.abs(self.d3(b2))) * self.k**1.5),
+            "eps2": float(i1 * self.D / k4),
+            "C_second": float(i2 * self.D**2 / k4),
+            "C_third": float(i3 * self.D**3 / k4),
+            "eps2_prime": float(o1 * np.sqrt(self.k)),
+            "C_second_prime": float(o2 * self.k),
+            "C_third_prime": float(o3 * self.k**1.5),
         }
 
 

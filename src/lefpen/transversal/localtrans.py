@@ -238,17 +238,9 @@ def dw_dz_bound_check(p, q, z, kappa):
     l = np.abs(dp(z) - np.conj(w0) * dq(z))
     wx = (solve_w(p, q, z + FD_STEP) - solve_w(p, q, z - FD_STEP)) / (2.0 * FD_STEP)
     wy = (solve_w(p, q, z + 1j * FD_STEP) - solve_w(p, q, z - 1j * FD_STEP)) / (2.0 * FD_STEP)
-    # operator norm of the real 2x2 Jacobian with columns (wx, wy)
-    norms = np.empty(z.shape)
-    flat_wx, flat_wy = wx.ravel(), wy.ravel()
-    for idx in range(z.size):
-        jac = np.array(
-            [
-                [flat_wx[idx].real, flat_wy[idx].real],
-                [flat_wx[idx].imag, flat_wy[idx].imag],
-            ]
-        )
-        norms.ravel()[idx] = np.linalg.svd(jac, compute_uv=False)[0]
+    # operator norm of the real 2x2 Jacobian with columns (wx, wy), per point
+    jac = np.stack([np.stack([wx.real, wy.real], -1), np.stack([wx.imag, wy.imag], -1)], -2)
+    norms = np.linalg.svd(jac, compute_uv=False)[..., 0]
     margin = 2.0 / kappa * l - norms
     return {
         "max_dw_norm": float(np.max(norms)),

@@ -40,6 +40,12 @@ class CriticalPoint:
     signs: tuple   # +1 / -1 per coordinate
 
 
+def _quadratic_jets(c, signs, y):
+    """(value, gradient, Hessian, third derivative) of c + sum(sign_i y_i^2)."""
+    n = len(y)
+    return c + float(signs @ (y * y)), 2.0 * signs * y, 2.0 * np.diag(signs), np.zeros((n, n, n))
+
+
 class QuadraticBackground:
     """Global quadratic extension c + sum(sign_i (x - p)_i^2) of one well."""
 
@@ -47,15 +53,8 @@ class QuadraticBackground:
         self.crit = crit
 
     def jets(self, xb):
-        p = np.asarray(self.crit.center, dtype=float)
-        s = np.asarray(self.crit.signs, dtype=float)
-        y = np.asarray(xb, dtype=float) - p
-        n = len(y)
-        value = self.crit.value + float(s @ (y * y))
-        grad = 2.0 * s * y
-        hess = 2.0 * np.diag(s)
-        third = np.zeros((n, n, n))
-        return value, grad, hess, third
+        y = np.asarray(xb, dtype=float) - np.asarray(self.crit.center, dtype=float)
+        return _quadratic_jets(self.crit.value, np.asarray(self.crit.signs, dtype=float), y)
 
 
 class MorseModel:
@@ -135,16 +134,9 @@ class DeformedMorse:
         prof = self.profile
         if t <= prof.t_flat:
             # flat core: exactly the unit quadratic
-            value = base + float(signs @ (y * y))
-            grad = 2.0 * signs * y
-            hess = 2.0 * np.diag(signs)
-            third = np.zeros((n, n, n))
-            return value, grad, hess, third
+            return _quadratic_jets(base, signs, y)
 
-        l = prof.value(t)
-        l1 = prof.d1(t)
-        l2 = prof.d2(t)
-        l3 = prof.d3(t)
+        l, l1, l2, l3 = prof.jets(t)
         r = y / t
         u = l * y
         eye = np.eye(n)

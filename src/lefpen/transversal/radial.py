@@ -32,18 +32,11 @@ def radial_jacobian(l, dl, x):
     return l(t) * np.eye(len(x)) + (dl(t) / t) * np.outer(x, x)
 
 
-def _fd_jacobian(l, x, step):
+def central_difference(f, x, step):
+    """Central-difference derivative of f at x, one column per coordinate
+    (a gradient for scalar f, a Jacobian for vector f)."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    jac = np.empty((n, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = step
-        xp, xm = x + e, x - e
-        fp = l(np.linalg.norm(xp)) * xp
-        fm = l(np.linalg.norm(xm)) * xm
-        jac[:, j] = (fp - fm) / (2.0 * step)
-    return jac
+    return np.stack([(f(x + e) - f(x - e)) / (2.0 * step) for e in np.eye(len(x)) * step], axis=-1)
 
 
 def radial_map_check(l, dl, x):
@@ -67,7 +60,7 @@ def radial_map_check(l, dl, x):
 
     jac = radial_jacobian(l, dl, x)
     step = (np.finfo(float).eps ** (1 / 3)) * max(t, 1.0)
-    jac_fd = _fd_jacobian(l, x, step)
+    jac_fd = central_difference(lambda y: l(np.linalg.norm(y)) * y, x, step)
     jac_err = float(np.max(np.abs(jac - jac_fd)) / lv)
 
     det_closed = lv**n * (1.0 + t * dv / lv)

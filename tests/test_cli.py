@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -157,8 +158,19 @@ def test_verify_localtrans(capsys):
         ["verify", "localtrans", "--seed", "1", "--trials", "2", "--kappa", "1.5"],
         ["verify", "localtrans", "--seed", "1", "--trials", "0"],
         ["verify", "radial", "--samples", "0"],
+        ["verify", "localtrans", "--seed", "-1", "--trials", "1"],
+        ["verify", "radial", "--samples", "2", "--seed", "-1"],
     ],
-    ids=["cutoff-k-nan", "cutoff-D-negative", "localtrans-delta", "localtrans-kappa", "zero-trials", "zero-samples"],
+    ids=[
+        "cutoff-k-nan",
+        "cutoff-D-negative",
+        "localtrans-delta",
+        "localtrans-kappa",
+        "zero-trials",
+        "zero-samples",
+        "localtrans-negative-seed",
+        "radial-negative-seed",
+    ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
@@ -166,6 +178,70 @@ def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+GOOD_PENCIL = {"fiber": {"model": "torus"}, "cycles": [[1, 0], [0, 1]]}
+GOOD_AUTO = {"braid": "s1", "fiber_element": [1, 0, 0, 1]}
+BAD_PENCILS = {
+    "fiber-string": {"fiber": "torus", "cycles": [[1, 0], [0, 1]]},
+    "cycles-number": {"fiber": {"model": "torus"}, "cycles": 5},
+    "sp-without-genus": {"fiber": {"model": "sp"}, "cycles": [[1, 0], [0, 1]]},
+    "disc-without-punctures": {"fiber": {"model": "disc"}, "cycles": ["x1 x2"]},
+    "cycle-float": {"fiber": {"model": "torus"}, "cycles": [[1.5, 0], [0, 1]]},
+    "cycle-bool": {"fiber": {"model": "torus"}, "cycles": [[True, 0], [0, 1]]},
+}
+BAD_AUTOS = {
+    "braid-number": {"braid": 5, "fiber_element": [1, 0, 0, 1]},
+    "matrix-float": {"braid": "s1", "fiber_element": [1.0, 0, 0, 1]},
+}
+PENCIL_COMMANDS = {
+    "validate": [],
+    "hurwitz": ["--braid", "s1"],
+    "matching": ["--max-len", "1"],
+    "gamma-check": ["--auto"],  # the automorphism file's path follows
+}
+MALFORMED = [
+    pytest.param(command, doc, GOOD_AUTO, id="%s-%s" % (command, name))
+    for name, doc in BAD_PENCILS.items()
+    for command in PENCIL_COMMANDS
+] + [
+    pytest.param("gamma-check", GOOD_PENCIL, doc, id="gamma-check-" + name)
+    for name, doc in BAD_AUTOS.items()
+]
+
+
+@pytest.mark.parametrize("command, pencil, auto", MALFORMED)
+def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, command, pencil, auto):
+    pencil_path, auto_path = tmp_path / "pencil.json", tmp_path / "auto.json"
+    pencil_path.write_text(json.dumps(pencil))
+    auto_path.write_text(json.dumps(auto))
+    argv = ["pencil", command, str(pencil_path)] + PENCIL_COMMANDS[command]
+    if command == "gamma-check":
+        argv.append(str(auto_path))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["verify", "cutoff", "--k", "10000", "--D", "1"], "verify_cutoff_k10000_D1.json"),
+        (["verify", "deform", "--k", "1000", "--D", "1"], "verify_deform_k1000_D1.json"),
+        (["verify", "radial", "--samples", "50", "--seed", "3"], "verify_radial_samples50_seed3.json"),
+    ],
+    ids=["cutoff", "deform", "radial"],
+)
+def test_numerical_reports_match_golden(capsys, argv, golden):
+    # the golden files hold the reports of an earlier release, byte for byte
+    assert main(argv) == 0
+    with open(os.path.join(DATA, golden)) as fh:
+        assert capsys.readouterr().out == fh.read()
 
 
 def test_unknown_flag_rejected():

@@ -69,6 +69,26 @@ def test_cycle_primitivity_enforced():
         Cycle(TORUS, vector=(0, 0))
 
 
+@pytest.mark.parametrize("entry", [1.5, 1.0, True, "1", None])
+def test_non_integral_homology_entries_rejected(entry):
+    # nothing is truncated to an integer: (1.5, 0) is not the cycle (1, 0)
+    with pytest.raises(ValueError):
+        Cycle(TORUS, vector=(entry, 0))
+    with pytest.raises(ValueError):
+        cycle_from_json(TORUS, [entry, 0])
+    with pytest.raises(ValueError):
+        FiberElement(TORUS, matrix=[[entry, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        element_from_json(TORUS, [entry, 0, 0, 1])
+
+
+def test_numpy_integer_entries_accepted():
+    import numpy as np
+
+    assert Cycle(TORUS, vector=np.array([1, 2])) == Cycle(TORUS, vector=(1, 2))
+    assert FiberElement(TORUS, matrix=np.eye(2, dtype=int)) == FiberElement.identity(TORUS)
+
+
 def test_act_functorial_torus():
     for _ in range(200):
         g = dehn_twist(rand_torus_cycle())

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lefpen.transversal.localtrans import (
+    FD_STEP,
     CPoly,
     LocalTransInstance,
     VerificationError,
@@ -92,6 +93,23 @@ def test_dw_dz_bound():
     )
     rep = dw_dz_bound_check(inst.p, inst.q, ball_grid(0.9, 15, 1), inst.kappa)
     assert rep["ok"]
+
+
+def test_dw_dz_bound_matches_per_point_svd():
+    # reference: one 2x2 SVD per grid point, as a loop
+    rng = np.random.default_rng(5)
+    z = ball_grid(0.9, 15, 1)
+    h = FD_STEP
+    for _ in range(5):
+        inst = random_instance(rng)
+        p, q = inst.p, inst.q
+        wx = (solve_w(p, q, z + h) - solve_w(p, q, z - h)) / (2.0 * h)
+        wy = (solve_w(p, q, z + 1j * h) - solve_w(p, q, z - 1j * h)) / (2.0 * h)
+        norms = [
+            np.linalg.svd(np.array([[a.real, b.real], [a.imag, b.imag]]), compute_uv=False)[0]
+            for a, b in zip(wx.ravel(), wy.ravel())
+        ]
+        assert dw_dz_bound_check(p, q, z, inst.kappa)["max_dw_norm"] == float(np.max(norms))
 
 
 def test_dw_dz_jacobian_vs_finite_differences():
