@@ -145,6 +145,15 @@ class CutoffProfile:
         for name, value in (("k", k), ("D", D), ("c0", c0)):
             if not 0.0 < value < np.inf:
                 raise ValueError("%s must be finite and positive, got %g" % (name, value))
+        lk, lD, lc = np.log(k), np.log(D), np.log(c0)
+        for name, log in (  # the largest powers in min_admissible_k, jets and the reports
+            ("(3 D / (1.4 c0))^6", 6.0 * (np.log(3.0 / 1.4) + lD - lc)),
+            ("k^1.5", 1.5 * lk),
+            ("(3 sqrt(k) c0 / 4)^3", 3.0 * (np.log(0.75) + 0.5 * lk + lc)),
+            ("k^(1/4) D^-3", 0.25 * lk - 3.0 * lD),  # the scale of l''' on the inner band
+        ):
+            if not log < np.log(np.finfo(float).max / 1e3):  # 1e3: room for C_third and the like
+                raise ValueError("%s overflows a float at k = %g, D = %g, c0 = %g" % (name, k, D, c0))
         min_k = min_admissible_k(D, c0)
         if k < min_k:
             raise ThresholdError(k, min_k)
@@ -169,11 +178,8 @@ class CutoffProfile:
             self.t_one,
             _S_OUTER_RAMP,
             False,
-            np.log(self._pow_value(self.t_pow_hi)),
+            np.log(self.a * self.top * self.t_pow_hi ** (-self.beta)),
         )
-
-    def _pow_value(self, t):
-        return self.a * self.top * t ** (-self.beta)
 
     def _pow_log_jets(self, t):
         m = np.log(self.a * self.top) - self.beta * np.log(t)
@@ -181,9 +187,7 @@ class CutoffProfile:
 
     def jets(self, t):
         """(l, l', l'', l''') at t, a scalar or an array, in one pass."""
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
+        scalar, t = np.ndim(t) == 0, np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((4,) + t.shape)
         out[0, t <= self.t_flat] = self.top
         out[0, t >= self.t_one] = 1.0

@@ -147,6 +147,12 @@ class LocalTransInstance:
             raise ValueError("delta must be in (0, 1/2)")
         if self.pexp < 1:
             raise ValueError("pexp must be a positive integer")
+        try:
+            sigma = sigma_of(self.delta, self.pexp)
+        except OverflowError:  # pexp or the power beyond a float
+            sigma = 0.0
+        if not sigma > 0.0:
+            raise ValueError("sigma = delta (log 1/delta)^-pexp is not a positive float at delta = %g" % self.delta)
         if self.p.n != self.q.n:
             raise ValueError("p and q must share the variable count")
 

@@ -13,9 +13,9 @@ the two definitions agree there, and on the flat core l = k^(1/4) turns
 the shallow rescaled well back into the unit-size quadratic
 sqrt(k) c_j + sum(sign_i y_i^2).
 
-Evaluators return the value, gradient, Hessian and third derivative in
-the rescaled metric from closed-form chain rules through the radial map;
-they back the empirical bounds
+DeformedMorse.jets gives the value, gradient, Hessian and third derivative
+in the rescaled metric, at a point or at each row of an (N, n) stack, from
+closed-form chain rules through the radial map; they back the empirical bounds
 
     max |grad h| = O(D),  grad h eta-transverse to 0,  max |d^3 h| = O(1/D)
 
@@ -25,12 +25,14 @@ with constants that a sweep over k checks for scale stability.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .localtrans import eta_margin
 
 CORE_RADII, OUTER_RADII = 24, 12  # deform_grid's radii on the flat core and where l = 1
+BLOCK_ENTRIES = 1 << 16  # n^4 scratch entries per block of a grid walk (_jet_blocks)
 
 
 @dataclass(frozen=True)
@@ -40,17 +42,31 @@ class CriticalPoint:
     signs: tuple   # +1 / -1 per coordinate
 
 
+def _rows(v, k):
+    """A vector with one entry per row, shaped to broadcast over k more axes."""
+    return v.reshape((-1,) + (1,) * k)
+
+
+def _row_norms(a):
+    """np.linalg.norm of each flattened row.  The stacked matmul (as in
+    (u * u)[:, None, :] @ signs below) makes one BLAS dot per row, which
+    rounds as np.dot does on that row alone."""
+    a = a.reshape(len(a), 1, -1)
+    return np.sqrt((a @ a.transpose(0, 2, 1))[:, 0, 0])
+
+
 def _quadratic_jets(c, signs, y):
-    """(value, gradient, Hessian, third derivative) of c + sum(sign_i y_i^2)."""
-    n = len(y)
-    return c + float(signs @ (y * y)), 2.0 * signs * y, 2.0 * np.diag(signs), np.zeros((n, n, n))
+    """(value, gradient, Hessian, third derivative) of c + sum(sign_i y_i^2) at the rows of y."""
+    N, n = y.shape
+    hess = np.broadcast_to(2.0 * np.diag(signs), (N, n, n))
+    return c + ((y * y)[:, None, :] @ signs)[:, 0], 2.0 * signs * y, hess, np.zeros((N, n, n, n))
 
 
+@dataclass(frozen=True)
 class QuadraticBackground:
     """Global quadratic extension c + sum(sign_i (x - p)_i^2) of one well."""
 
-    def __init__(self, crit):
-        self.crit = crit
+    crit: CriticalPoint
 
     def jets(self, xb):
         y = np.asarray(xb, dtype=float) - np.asarray(self.crit.center, dtype=float)
@@ -73,22 +89,18 @@ class MorseModel:
     @classmethod
     def quadratic(cls, n, value=0.0, signs=None, center=None):
         """One critical point whose quadratic model extends globally."""
-        signs = tuple(signs) if signs is not None else tuple(
-            1 if i % 2 == 0 else -1 for i in range(n)
-        )
+        signs = tuple(signs) if signs is not None else tuple((-1) ** i for i in range(n))
         center = tuple(center) if center is not None else (0.0,) * n
         crit = CriticalPoint(center, float(value), signs)
         return cls(n, [crit], background=QuadraticBackground(crit))
 
     def check_separation(self, c0):
-        for i, a in enumerate(self.crits):
-            for b in self.crits[i + 1 :]:
-                d = np.linalg.norm(np.asarray(a.center) - np.asarray(b.center))
-                if d <= 2.0 * c0:
-                    raise ValueError(
-                        "critical points at distance %g violate the > 2 c0 = %g separation"
-                        % (d, 2.0 * c0)
-                    )
+        for a, b in combinations(self.crits, 2):
+            d = np.linalg.norm(np.asarray(a.center) - np.asarray(b.center))
+            if d <= 2.0 * c0:
+                raise ValueError(
+                    "critical points at distance %g violate the > 2 c0 = %g separation" % (d, 2.0 * c0)
+                )
 
 
 class DeformedMorse:
@@ -102,93 +114,76 @@ class DeformedMorse:
         self.sqrt_k = float(np.sqrt(profile.k))
         self.ball_radius = self.sqrt_k * profile.c0
 
-    def _locate(self, x):
-        x = np.asarray(x, dtype=float)
-        for crit in self.model.crits:
-            y = x - self.sqrt_k * np.asarray(crit.center, dtype=float)
-            if np.linalg.norm(y) <= self.ball_radius:
-                return crit, y
-        return None, None
-
     def jets(self, x):
-        """(value, gradient, Hessian, third derivative) at a rescaled point."""
-        crit, y = self._locate(x)
-        if crit is None:
+        """(value, gradient, Hessian, third derivative) at a rescaled point (n,), or
+        on a leading N axis at each row of a stack (N, n), bit for bit as one by one."""
+        xs = np.atleast_2d(np.asarray(x, dtype=float))
+        N, n = xs.shape
+        out = (np.empty(N), np.empty((N, n)), np.empty((N, n, n)), np.empty((N, n, n, n)))
+        left = np.ones(N, dtype=bool)  # rows outside every critical ball seen so far
+        parts = []  # (rows, their jets)
+        for crit in self.model.crits:
+            y = xs - self.sqrt_k * np.asarray(crit.center, dtype=float)
+            t = _row_norms(y)
+            ball = left & (t <= self.ball_radius)
+            left &= ~ball
+            core = ball & (t <= self.profile.t_flat)  # flat core: exactly the unit quadratic
+            ring = ball & ~core
+            signs, base = np.asarray(crit.signs, dtype=float), self.sqrt_k * crit.value
+            parts.append((core, _quadratic_jets(base, signs, y[core])))
+            parts.append((ring, self._ring_jets(base, signs, y[ring], t[ring])))
+        if left.any():
             if self.model.background is None:
                 raise ValueError("point outside every critical ball and no background given")
-            xb = np.asarray(x, dtype=float) / self.sqrt_k
-            v, g, h, t3 = self.model.background.jets(xb)
-            return (
-                self.sqrt_k * v,
-                g,
-                h / self.sqrt_k,
-                t3 / self.k,
-            )
-        return self._local_jets(crit, y)
+            v, g, h, t3 = self.model.background.jets(xs[left] / self.sqrt_k)
+            parts.append((left, (self.sqrt_k * v, g, h / self.sqrt_k, t3 / self.k)))
+        for rows, jets in parts:
+            for o, j in zip(out, jets):
+                o[rows] = j
+        return tuple(o[0] for o in out) if np.ndim(x) == 1 else out
 
-    def _local_jets(self, crit, y):
-        n = self.model.n
-        signs = np.asarray(crit.signs, dtype=float)
-        base = self.sqrt_k * crit.value
-        t = float(np.linalg.norm(y))
-        prof = self.profile
-        if t <= prof.t_flat:
-            # flat core: exactly the unit quadratic
-            return _quadratic_jets(base, signs, y)
+    def _ring_jets(self, base, signs, y, t):
+        """Jets of base + sum(sign_i u_i^2) / sqrt(k), u = l(|y|) y, at rows y of norm t."""
+        l, l1, l2, l3 = self.profile.jets(t)
+        r = y / t[:, None]
+        u = l[:, None] * y
+        eye = np.eye(y.shape[1])
 
-        l, l1, l2, l3 = prof.jets(t)
-        r = y / t
-        u = l * y
-        eye = np.eye(n)
-
-        du = l * eye + l1 * np.outer(r, y)
+        du = _rows(l, 2) * eye + _rows(l1, 2) * (r[:, :, None] * y[:, None, :])
         # d2u[i,a,b]: fully symmetric
         sym_dr = (
-            np.einsum("a,ib->iab", r, eye)
-            + np.einsum("b,ia->iab", r, eye)
-            + np.einsum("i,ab->iab", r, eye)
+            np.einsum("...a,ib->...iab", r, eye)
+            + np.einsum("...b,ia->...iab", r, eye)
+            + np.einsum("...i,ab->...iab", r, eye)
         )
-        rrr = np.einsum("i,a,b->iab", r, r, r)
-        d2u = l1 * sym_dr + (t * l2 - l1) * rrr
+        rrr = np.einsum("...i,...a,...b->...iab", r, r, r)
+        d2u = _rows(l1, 3) * sym_dr + _rows(t * l2 - l1, 3) * rrr
 
-        A = l1 / t
-        B = l2 - l1 / t
+        A, B = l1 / t, l2 - l1 / t
         dd = np.einsum("bc,ia->iabc", eye, eye) + np.einsum("ac,ib->iabc", eye, eye) + np.einsum("ic,ab->iabc", eye, eye)
         drr = (
-            np.einsum("ia,b,c->iabc", eye, r, r)
-            + np.einsum("ib,a,c->iabc", eye, r, r)
-            + np.einsum("ab,i,c->iabc", eye, r, r)
-            + np.einsum("ac,b,i->iabc", eye, r, r)
-            + np.einsum("bc,a,i->iabc", eye, r, r)
-            + np.einsum("ic,a,b->iabc", eye, r, r)
+            np.einsum("ia,...b,...c->...iabc", eye, r, r)
+            + np.einsum("ib,...a,...c->...iabc", eye, r, r)
+            + np.einsum("ab,...i,...c->...iabc", eye, r, r)
+            + np.einsum("ac,...b,...i->...iabc", eye, r, r)
+            + np.einsum("bc,...a,...i->...iabc", eye, r, r)
+            + np.einsum("ic,...a,...b->...iabc", eye, r, r)
         )
-        r4 = np.einsum("i,a,b,c->iabc", r, r, r, r)
-        d3u = A * dd + B * drr + (t * l3 - 3.0 * B) * r4
+        r4 = np.einsum("...i,...a,...b,...c->...iabc", r, r, r, r)
+        d3u = _rows(A, 4) * dd + _rows(B, 4) * drr + _rows(t * l3 - 3.0 * B, 4) * r4
 
         scale = 2.0 / self.sqrt_k
         su = signs * u
-        value = base + float(signs @ (u * u)) / self.sqrt_k
-        grad = scale * (su @ du)
-        hess = scale * (du.T @ np.diag(signs) @ du + np.einsum("i,iab->ab", su, d2u))
+        value = base + ((u * u)[:, None, :] @ signs)[:, 0] / self.sqrt_k
+        grad = scale * (su[:, None, :] @ du)[:, 0]
+        hess = scale * (du.transpose(0, 2, 1) @ np.diag(signs) @ du + np.einsum("...i,...iab->...ab", su, d2u))
         third = scale * (
-            np.einsum("i,iab,ic->abc", signs, d2u, du)
-            + np.einsum("i,iac,ib->abc", signs, d2u, du)
-            + np.einsum("i,ibc,ia->abc", signs, d2u, du)
-            + np.einsum("i,iabc->abc", su, d3u)
+            np.einsum("i,...iab,...ic->...abc", signs, d2u, du)
+            + np.einsum("i,...iac,...ib->...abc", signs, d2u, du)
+            + np.einsum("i,...ibc,...ia->...abc", signs, d2u, du)
+            + np.einsum("...i,...iabc->...abc", su, d3u)
         )
         return value, grad, hess, third
-
-    def value(self, x):
-        return self.jets(x)[0]
-
-    def gradient(self, x):
-        return self.jets(x)[1]
-
-    def hessian(self, x):
-        return self.jets(x)[2]
-
-    def third(self, x):
-        return self.jets(x)[3]
 
 
 def deform_grid(model, profile, radial=160, angular=24):
@@ -200,14 +195,13 @@ def deform_grid(model, profile, radial=160, angular=24):
     grid is deterministic.
     """
     sqrt_k = float(np.sqrt(profile.k))
+    ball = sqrt_k * profile.c0
     radii = np.concatenate(
         [
             np.linspace(0.0, profile.t_flat, CORE_RADII, endpoint=False),
             np.geomspace(profile.t_flat, profile.t_one, radial, endpoint=False),
-            np.linspace(profile.t_one, sqrt_k * profile.c0, OUTER_RADII),
-            np.linspace(sqrt_k * profile.c0 * 1.01, sqrt_k * profile.c0 * 1.25, 4)
-            if model.background is not None
-            else np.empty(0),
+            np.linspace(profile.t_one, ball, OUTER_RADII),
+            np.linspace(ball * 1.01, ball * 1.25, 4) if model.background is not None else [],
         ]
     )
     n = model.n
@@ -221,13 +215,16 @@ def deform_grid(model, profile, radial=160, angular=24):
         dirs = rng.normal(size=(angular, n))
         dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     center = sqrt_k * np.asarray(model.crits[0].center, dtype=float)
-    pts = [center]
-    for rr in radii:
-        if rr == 0.0:
-            continue
-        for d in dirs:
-            pts.append(center + rr * d)
-    return np.array(pts)
+    shells = radii[radii != 0.0, None, None] * dirs  # (radius, direction, coordinate)
+    return np.concatenate([center[None], center + shells.reshape(-1, n)])
+
+
+def _jet_blocks(h, grid):
+    """h.jets over a grid, one block of rows at a time: the jets take n^4
+    scratch entries per row, and a block about BLOCK_ENTRIES in all."""
+    grid = np.asarray(grid, dtype=float)
+    rows = max(1, BLOCK_ENTRIES // grid.shape[1] ** 4)
+    return (h.jets(grid[i : i + rows]) for i in range(0, len(grid), rows))
 
 
 def verify_deform_bounds(h, grid):
@@ -238,14 +235,11 @@ def verify_deform_bounds(h, grid):
     point with |grad| < eta has Hessian smallest singular value >= eta,
     that is eta_margin(|grad|, smallest singular value).
     """
-    grads = np.empty(len(grid))
-    sigmas = np.empty(len(grid))
-    thirds = np.empty(len(grid))
-    for i, x in enumerate(grid):
-        _, g, hess, t3 = h.jets(x)
-        grads[i] = np.linalg.norm(g)
-        sigmas[i] = np.linalg.svd(hess, compute_uv=False)[-1]
-        thirds[i] = np.linalg.norm(t3)
+    blocks = [
+        (_row_norms(g), np.linalg.svd(hess, compute_uv=False)[:, -1], _row_norms(t3))
+        for _, g, hess, t3 in _jet_blocks(h, grid)
+    ]
+    grads, sigmas, thirds = (np.concatenate(b) for b in zip(*blocks))
     return {
         "points": int(len(grid)),
         "maxGrad": float(np.max(grads)),
@@ -264,7 +258,7 @@ class CirclePair:
     """
 
     def __init__(self, h):
-        self.h = h  # scalar callable (or a DeformedMorse value method)
+        self.h = h  # scalar callable, e.g. lambda x: deformed.jets(x)[0]
 
     def first(self, x):
         return np.cos(self.h(x))
@@ -283,14 +277,12 @@ class CirclePair:
     @staticmethod
     def derivative_report(deformed, grid):
         """max |d(cos h)|, |d(sin h)| and their second derivatives over a grid."""
-        d1max = 0.0
-        d2max = 0.0
-        for x in grid:
-            v, g, hess, _ = deformed.jets(x)
-            c, s = np.cos(v), np.sin(v)
-            d1max = max(d1max, np.linalg.norm(-s * g), np.linalg.norm(c * g))
-            outer = np.outer(g, g)
+        d1max = d2max = 0.0
+        for v, g, hess, _ in _jet_blocks(deformed, grid):
+            c, s = _rows(np.cos(v), 2), _rows(np.sin(v), 2)
+            d1max = max(d1max, np.max(_row_norms(-s[:, 0] * g)), np.max(_row_norms(c[:, 0] * g)))
+            outer = g[:, :, None] * g[:, None, :]
             h1 = -c * outer - s * hess
             h2 = -s * outer + c * hess
-            d2max = max(d2max, np.linalg.norm(h1), np.linalg.norm(h2))
+            d2max = max(d2max, np.max(_row_norms(h1)), np.max(_row_norms(h2)))
         return {"max_first_derivative": float(d1max), "max_second_derivative": float(d2max)}

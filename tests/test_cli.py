@@ -122,6 +122,13 @@ def test_verify_cutoff(capsys):
     assert doc["slope"]["ok"]
 
 
+def test_verify_cutoff_near_float_range(capsys):
+    # k^1.5 = 1e300 still fits a float: no usage error and no warning
+    assert main(["verify", "cutoff", "--k", "1e200", "--D", "1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["ok"] and captured.err == ""
+
+
 def test_verify_cutoff_threshold_exit_2(capsys):
     assert main(["verify", "cutoff", "--k", "50", "--D", "1", "--c0", "1"]) == 2
     err = capsys.readouterr().err
@@ -160,6 +167,15 @@ def test_verify_localtrans(capsys):
         ["verify", "radial", "--samples", "0"],
         ["verify", "localtrans", "--seed", "-1", "--trials", "1"],
         ["verify", "radial", "--samples", "2", "--seed", "-1"],
+        ["verify", "cutoff", "--k", "1e300", "--D", "1"],
+        ["verify", "cutoff", "--k", "1e10", "--D", "1e300"],
+        ["verify", "cutoff", "--k", "1e10", "--D", "1", "--c0", "1e-300"],
+        ["verify", "cutoff", "--k", "1e200", "--D", "1", "--c0", "1e40"],
+        ["verify", "cutoff", "--k", "1e4", "--D", "1e-200"],
+        ["verify", "deform", "--k", "1e300", "--D", "1"],
+        ["verify", "localtrans", "--seed", "1", "--trials", "1", "--pexp", "100000"],
+        ["verify", "localtrans", "--seed", "1", "--trials", "1", "--delta", "1e-320"],
+        ["verify", "localtrans", "--seed", "1", "--trials", "1", "--pexp", "1" + "0" * 320],
     ],
     ids=[
         "cutoff-k-nan",
@@ -170,6 +186,15 @@ def test_verify_localtrans(capsys):
         "zero-samples",
         "localtrans-negative-seed",
         "radial-negative-seed",
+        "cutoff-k-overflow",
+        "cutoff-D-overflow",
+        "cutoff-c0-tiny",
+        "cutoff-c0-overflow",
+        "cutoff-D-tiny",
+        "deform-k-overflow",
+        "localtrans-sigma-pexp",
+        "localtrans-sigma-delta",
+        "localtrans-pexp-beyond-float",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -233,9 +258,11 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
     [
         (["verify", "cutoff", "--k", "10000", "--D", "1"], "verify_cutoff_k10000_D1.json"),
         (["verify", "deform", "--k", "1000", "--D", "1"], "verify_deform_k1000_D1.json"),
+        (["verify", "deform", "--k", "1000", "--D", "1", "--n", "1"], "verify_deform_k1000_D1_n1.json"),
+        (["verify", "deform", "--k", "1000", "--D", "1", "--n", "3"], "verify_deform_k1000_D1_n3.json"),
         (["verify", "radial", "--samples", "50", "--seed", "3"], "verify_radial_samples50_seed3.json"),
     ],
-    ids=["cutoff", "deform", "radial"],
+    ids=["cutoff", "deform", "deform-n1", "deform-n3", "radial"],
 )
 def test_numerical_reports_match_golden(capsys, argv, golden):
     # the golden files hold the reports of an earlier release, byte for byte

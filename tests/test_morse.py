@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from lefpen.transversal.cutoff import build_cutoff
+from lefpen.transversal.localtrans import eta_margin
 from lefpen.transversal.morse import (
+    BLOCK_ENTRIES,
     CirclePair,
     CriticalPoint,
     DeformedMorse,
@@ -54,7 +56,7 @@ def test_matches_plain_rescaling_outside(deformed):
         x = t * np.array([0.6, 0.8])
         xb = x / deformed.sqrt_k
         expected = deformed.sqrt_k * (0.5 + xb[0] ** 2 - xb[1] ** 2)
-        assert deformed.value(x) == pytest.approx(expected, rel=1e-12)
+        assert deformed.jets(x)[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_gradient_vs_finite_differences(deformed):
@@ -73,8 +75,8 @@ def test_gradient_vs_finite_differences(deformed):
         th = rng.uniform(0, 2 * np.pi)
         x = t * np.array([np.cos(th), np.sin(th)])
         step = 1e-6 * max(t, 1.0)
-        g = deformed.gradient(x)
-        assert np.max(np.abs(g - num_grad(deformed.value, x, step))) / max(
+        g = deformed.jets(x)[1]
+        assert np.max(np.abs(g - num_grad(lambda z: deformed.jets(z)[0], x, step))) / max(
             np.linalg.norm(g), 1e-9
         ) < 1e-6
 
@@ -87,17 +89,17 @@ def test_hessian_and_third_vs_finite_differences(deformed):
         th = rng.uniform(0, 2 * np.pi)
         x = t * np.array([np.cos(th), np.sin(th)])
         step = 2e-6 * max(t, 1.0)
-        hess = deformed.hessian(x)
+        hess = deformed.jets(x)[2]
         hnum = np.column_stack(
-            [num_grad(lambda z, j=j: deformed.gradient(z)[j], x, step) for j in range(2)]
+            [num_grad(lambda z, j=j: deformed.jets(z)[1][j], x, step) for j in range(2)]
         ).T
         assert np.max(np.abs(hess - hnum)) / max(np.linalg.norm(hess), 1e-9) < 1e-5
-        t3 = deformed.third(x)
+        t3 = deformed.jets(x)[3]
         tnum = np.stack(
             [
                 np.column_stack(
                     [
-                        num_grad(lambda z, a=a, b=b: deformed.hessian(z)[a][b], x, step)
+                        num_grad(lambda z, a=a, b=b: deformed.jets(z)[2][a][b], x, step)
                         for b in range(2)
                     ]
                 )
@@ -105,6 +107,65 @@ def test_hessian_and_third_vs_finite_differences(deformed):
             ]
         )
         assert np.max(np.abs(t3 - tnum)) / max(np.linalg.norm(t3), 1e-6) < 1e-5
+
+
+def assert_rows_equal_single_points(h, X):
+    stacked = h.jets(X)
+    assert [j.shape for j in stacked] == [(len(X),) + (X.shape[1],) * d for d in range(4)]
+    for i, x in enumerate(X):
+        for rows, single in zip(stacked, h.jets(x)):
+            assert np.array_equal(rows[i], single)
+
+
+def region_radii(h):
+    # flat core, inner band, power annulus, outer band, l = 1 shell, background
+    p = h.profile
+    mid = lambda a, b: 0.5 * (a + b)
+    return [0.0, 0.5 * p.t_flat, mid(p.t_flat, p.t_pow_lo), mid(p.t_pow_lo, p.t_pow_hi),
+            mid(p.t_pow_hi, p.t_one), mid(p.t_one, h.ball_radius), 1.2 * h.ball_radius]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_jets_equal_single_point_jets(n):
+    h = DeformedMorse(MorseModel.quadratic(n, value=0.5), build_cutoff(1e4, 1.0, 1.0))
+    dirs = np.random.default_rng(n).normal(size=(5, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    assert_rows_equal_single_points(h, np.concatenate([r * dirs for r in region_radii(h)]))
+
+
+def test_stacked_jets_equal_single_point_jets_two_critical_points():
+    crits = [
+        CriticalPoint((0.0, 0.0), 0.0, (1, -1)),
+        CriticalPoint((3.0, 0.0), 1.0, (1, 1)),
+    ]
+    h = DeformedMorse(MorseModel(2, crits, background=None), build_cutoff(1e4, 1.0, 1.0))
+    dirs = np.array([[0.6, 0.8], [-1.0, 0.0], [0.0, -1.0]])
+    X = np.concatenate([c + r * dirs for c in ([0.0, 0.0], [3.0 * h.sqrt_k, 0.0]) for r in region_radii(h)[:-1]])
+    assert_rows_equal_single_points(h, X)
+    with pytest.raises(ValueError):  # one row between the balls spoils the stack
+        h.jets(np.concatenate([X, [[1.5 * h.sqrt_k, 0.0]]]))
+
+
+def test_grid_reports_match_per_point_reference():
+    # the per-point loops that the blocked grid walks replaced, kept as the reference
+    h = DeformedMorse(MorseModel.quadratic(3, value=0.5), build_cutoff(1e3, 1.0, 1.0))
+    grid = deform_grid(h.model, h.profile, radial=60, angular=16)
+    assert len(grid) > BLOCK_ENTRIES // 3**4  # more than one block
+    jets = [h.jets(x) for x in grid]
+    grads = np.array([np.linalg.norm(g) for _, g, _, _ in jets])
+    sigmas = np.array([np.linalg.svd(hess, compute_uv=False)[-1] for _, _, hess, _ in jets])
+    rep = verify_deform_bounds(h, grid)
+    assert rep["maxGrad"] == np.max(grads)
+    assert rep["etaObserved"] == eta_margin(grads, sigmas)
+    assert rep["maxThird"] == max(np.linalg.norm(t3) for _, _, _, t3 in jets)
+    d1 = d2 = 0.0
+    for v, g, hess, _ in jets:
+        c, s = np.cos(v), np.sin(v)
+        d1 = max(d1, np.linalg.norm(-s * g), np.linalg.norm(c * g))
+        outer = np.outer(g, g)
+        d2 = max(d2, np.linalg.norm(-c * outer - s * hess), np.linalg.norm(-s * outer + c * hess))
+    rep = CirclePair.derivative_report(h, grid)
+    assert rep == {"max_first_derivative": d1, "max_second_derivative": d2}
 
 
 def test_verify_deform_bounds(deformed):
@@ -124,7 +185,7 @@ def test_annulus_gradient_bound(deformed):
         th = rng.uniform(0, 2 * np.pi)
         x = t * np.array([np.cos(th), np.sin(th)])
         chain_bound = 2.0 * prof.value(t) ** 2 * t / deformed.sqrt_k
-        assert np.linalg.norm(deformed.gradient(x)) <= chain_bound + 1e-9
+        assert np.linalg.norm(deformed.jets(x)[1]) <= chain_bound + 1e-9
         assert chain_bound <= 2.0 * prof.a**2 / t ** (2 * prof.eps) * (1 + 1e-9)
 
 
@@ -141,8 +202,8 @@ def test_three_dimensional_model():
         d = rng.normal(size=3)
         x = t * d / np.linalg.norm(d)
         step = 1e-6 * t
-        g = h.gradient(x)
-        num = num_grad(h.value, x, step)
+        g = h.jets(x)[1]
+        num = num_grad(lambda z: h.jets(z)[0], x, step)
         assert np.max(np.abs(g - num)) / np.linalg.norm(g) < 1e-6
     rep = verify_deform_bounds(h, deform_grid(model, profile, radial=60, angular=16))
     assert rep["etaObserved"] > 0
@@ -187,7 +248,7 @@ def test_two_critical_points():
     assert np.allclose(h1, np.diag([2.0, 2.0]))
     # between the balls there is no background to fall back on
     with pytest.raises(ValueError):
-        h.value([1.5 * k4, 0.0])
+        h.jets([1.5 * k4, 0.0])
 
 
 def test_outside_without_background_errors():
@@ -195,7 +256,7 @@ def test_outside_without_background_errors():
     model = MorseModel(2, [crit], background=None)
     h = DeformedMorse(model, build_cutoff(1e4, 1.0, 1.0))
     with pytest.raises(ValueError):
-        h.value([2 * h.ball_radius, 0.0])
+        h.jets([2 * h.ball_radius, 0.0])
 
 
 def test_eta_observed_transversality():
@@ -215,8 +276,8 @@ def test_eta_observed_transversality():
 
     class Cubic:  # degenerate critical point at 0
         def jets(self, x):
-            t = x[0]
-            return t**3, np.array([3 * t**2]), np.array([[6 * t]]), np.zeros((1, 1, 1))
+            t = x[:, 0]
+            return t**3, 3 * t[:, None] ** 2, 6 * t[:, None, None], np.zeros((len(t), 1, 1, 1))
 
     pts1 = [np.array([t]) for t in np.linspace(-0.5, 0.5, 21)]
     assert verify_deform_bounds(Cubic(), pts1)["etaObserved"] < 0.1
@@ -231,10 +292,10 @@ def test_circle_pair_identity():
 
 
 def test_circle_pair_wrappers(deformed):
-    pair = CirclePair(deformed.value)
+    pair = CirclePair(lambda x: deformed.jets(x)[0])
     x = np.array([0.2, 0.1])
-    assert pair.first(x) == pytest.approx(np.cos(deformed.value(x)))
-    assert pair.second(x) == pytest.approx(np.sin(deformed.value(x)))
+    assert pair.first(x) == pytest.approx(np.cos(deformed.jets(x)[0]))
+    assert pair.second(x) == pytest.approx(np.sin(deformed.jets(x)[0]))
     grid = deform_grid(deformed.model, deformed.profile, radial=30, angular=8)
     rep = CirclePair.derivative_report(deformed, grid)
     assert rep["max_first_derivative"] > 0
