@@ -67,13 +67,19 @@ def _numpy_default(obj):
     raise TypeError("not JSON serializable: %r" % (obj,))
 
 
-def _emit(report, out_path):
+def _emit(report, out_path, code):
+    """Write the report to stdout, or to out_path if given; return the exit
+    code, or USAGE if out_path cannot be written."""
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False, default=_numpy_default) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        return _fail("cannot write --out %s: %s" % (out_path, e.strerror))
+    return code
 
 
 def _fail(message):
@@ -93,10 +99,8 @@ def cmd_pencil_validate(args):
         except UnsupportedCycle as e:
             return _fail(str(e))
         report["closed"] = closed
-        _emit(report, args.out)
-        return OK if closed else CHECK_FAILED
-    _emit(report, args.out)
-    return OK
+        return _emit(report, args.out, OK if closed else CHECK_FAILED)
+    return _emit(report, args.out, OK)
 
 
 def cmd_pencil_hurwitz(args):
@@ -112,8 +116,7 @@ def cmd_pencil_hurwitz(args):
         return _fail(str(e))
     report = dict(pencil_to_json(Q))
     report["total_monodromy_preserved"] = preserved
-    _emit(report, args.out)
-    return OK if preserved else CHECK_FAILED
+    return _emit(report, args.out, OK if preserved else CHECK_FAILED)
 
 
 def cmd_pencil_matching(args):
@@ -124,21 +127,23 @@ def cmd_pencil_matching(args):
     if args.max_len < 0:
         return _fail("--max-len must be >= 0")
     rows = []
-    for a in enumerate_arcs(P, args.max_len):
-        cls = classify_arc(a, P, trust_algebraic=args.trust_algebraic)
-        eta1, eta2, s1, s2 = arc_labels(a, P)
-        rows.append(
-            {
-                "base": a.base,
-                "carrier": braid_to_str(a.carrier),
-                "class": str(cls),
-                "supporting_pair": [word_to_str(eta1.word()), word_to_str(eta2.word())],
-                "labels": [cycle_to_json(s1), cycle_to_json(s2)],
-            }
-        )
+    try:
+        for a in enumerate_arcs(P, args.max_len):
+            cls = classify_arc(a, P, trust_algebraic=args.trust_algebraic)
+            eta1, eta2, s1, s2 = arc_labels(a, P)
+            rows.append(
+                {
+                    "base": a.base,
+                    "carrier": braid_to_str(a.carrier),
+                    "class": str(cls),
+                    "supporting_pair": [word_to_str(eta1.word()), word_to_str(eta2.word())],
+                    "labels": [cycle_to_json(s1), cycle_to_json(s2)],
+                }
+            )
+    except (RankMismatch, ModelMismatch, UnsupportedCycle) as e:
+        return _fail(str(e))
     rows.sort(key=lambda row: (row["base"], row["carrier"]))
-    _emit({"r": P.r, "max_len": args.max_len, "arcs": rows}, args.out)
-    return OK
+    return _emit({"r": P.r, "max_len": args.max_len, "arcs": rows}, args.out, OK)
 
 
 def cmd_pencil_gamma_check(args):
@@ -155,8 +160,7 @@ def cmd_pencil_gamma_check(args):
     report = {"in_gamma": ok}
     if not ok:
         report["violation"] = detail
-    _emit(report, args.out)
-    return OK if ok else CHECK_FAILED
+    return _emit(report, args.out, OK if ok else CHECK_FAILED)
 
 
 def cmd_verify_cutoff(args):
@@ -189,8 +193,7 @@ def cmd_verify_cutoff(args):
         "blend": profile.blend,
         "ok": hard,
     }
-    _emit(report, args.out)
-    return OK if hard else CHECK_FAILED
+    return _emit(report, args.out, OK if hard else CHECK_FAILED)
 
 
 def cmd_verify_deform(args):
@@ -215,8 +218,7 @@ def cmd_verify_deform(args):
             "ok": hard,
         }
     )
-    _emit(report, args.out)
-    return OK if hard else CHECK_FAILED
+    return _emit(report, args.out, OK if hard else CHECK_FAILED)
 
 
 def _deform_fd_check(h, profile):
@@ -290,8 +292,7 @@ def cmd_verify_localtrans(args):
         "certificates": certs,
         "ok": hard,
     }
-    _emit(report, args.out)
-    return OK if hard else CHECK_FAILED
+    return _emit(report, args.out, OK if hard else CHECK_FAILED)
 
 
 def cmd_verify_radial(args):
@@ -321,8 +322,7 @@ def cmd_verify_radial(args):
         "bounds_ok": bounds_ok,
         "ok": hard,
     }
-    _emit(report, args.out)
-    return OK if hard else CHECK_FAILED
+    return _emit(report, args.out, OK if hard else CHECK_FAILED)
 
 
 def build_parser():

@@ -13,7 +13,7 @@ t = 0.7 c0 sqrt(k):
     a   = ((3/2) D)^(1/2 + eps)
     eps = ln(3D / (1.4 c0)) / (ln k - 2 ln(3D / (1.4 c0)))
 
-which keeps 0 < eps <= 1/4 exactly when k >= (3D / (1.4 c0))^6.
+which keeps 0 < eps <= 1/4 exactly when 3D > 1.4 c0 and k >= (3D / (1.4 c0))^6.
 
 Every admissible profile must satisfy the slope corridor
 
@@ -157,6 +157,8 @@ class CutoffProfile:
         min_k = min_admissible_k(D, c0)
         if k < min_k:
             raise ThresholdError(k, min_k)
+        if not 3.0 * D > 1.4 * c0:  # else eps <= 0
+            raise ValueError("eps > 0 needs 3 D > 1.4 c0, got D = %g, c0 = %g" % (D, c0))
         self.k = float(k)
         self.D = float(D)
         self.c0 = float(c0)

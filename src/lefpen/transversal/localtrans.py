@@ -13,9 +13,9 @@ and then s(., w0) is sigma-transverse to zero over the unit ball, which a
 brute-force grid check certifies directly.  The quantitative scale is
 sigma = delta (log(1/delta))^(-p) with w0 constrained to |w0| < delta.
 
-Everything here is desk scale: tensor grids, flood fill for the clear
-region in the w-disc, and an independent re-verification of every
-certificate on a finer grid.
+Everything here is desk scale: tensor grids, a numpy labelling of the
+clear region's components in the w-disc, and an independent
+re-verification of every certificate on a finer grid.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ MAX_DEGREE = 4  # of the random instances' p and q
 FD_STEP = 1e-7  # of the dw/dz spot check
 C = 4.0  # w0 keeps clear of the C sigma-neighborhood of the near-critical image
 REVERIFY_FACTOR = 2  # reverify's grid is about this many times finer
+BLOCK_ENTRIES = 1 << 16  # point-target differences per block of the distance search
 
 
 class VerificationError(RuntimeError):
@@ -307,36 +308,57 @@ class TransversalityCertificate:
         }
 
 
-def _flood_components(free, res):
-    """Connected components (4-neighbor) of a boolean res x res grid."""
-    labels = np.full(free.shape, -1, dtype=int)
-    count = 0
-    for start in range(free.size):
-        if not free.flat[start] or labels.flat[start] >= 0:
-            continue
-        stack = [start]
-        labels.flat[start] = count
-        while stack:
-            idx = stack.pop()
-            i, j = divmod(idx, res)
-            for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if 0 <= ni < res and 0 <= nj < res:
-                    nidx = ni * res + nj
-                    if free.flat[nidx] and labels.flat[nidx] < 0:
-                        labels.flat[nidx] = count
-                        stack.append(nidx)
-        count += 1
-    return labels, count
+def _label_components(free):
+    """4-neighbour components of a boolean grid as (labels, count): -1 off the
+    free cells, components numbered in raster order of their first cell.
+
+    Min-label propagation: each free cell starts as its own flat index, takes
+    the least label among its free neighbours and hooks its root to it, and
+    pointer jumping settles every cell on its root, which ends as the
+    component's first cell.
+    """
+    size = free.size  # also the label of the off-region sentinel cell
+    parent = np.append(np.where(free.ravel(), np.arange(size), size), size)
+    while True:
+        g = np.pad(parent[:size].reshape(free.shape), 1, constant_values=size)
+        low = np.minimum.reduce([g[1:-1, 1:-1], g[:-2, 1:-1], g[2:, 1:-1], g[1:-1, :-2], g[1:-1, 2:]])
+        low = np.where(free, low, size).ravel()
+        nxt = np.append(low, size)
+        np.minimum.at(nxt, parent[:size], low)
+        while not np.array_equal(nxt[nxt], nxt):
+            nxt = nxt[nxt]
+        if np.array_equal(nxt, parent):
+            break
+        parent = nxt
+    roots, labels = np.unique(parent[:size], return_inverse=True)
+    return np.where(free, labels.reshape(free.shape), -1), int(np.sum(roots < size))
+
+
+def _nearest_distance(points, targets):
+    """min |point - target| per point, in blocks of at most BLOCK_ENTRIES
+    differences however many targets there are."""
+    dist = np.full(points.shape, np.inf)
+    rows = max(1, BLOCK_ENTRIES // max(targets.size, 1))
+    cols = BLOCK_ENTRIES // rows
+    for lo in range(0, points.size, rows):
+        for t in range(0, targets.size, cols):
+            block = np.abs(points[lo : lo + rows, None] - targets[None, t : t + cols])
+            np.minimum(dist[lo : lo + rows], np.min(block, axis=1), out=dist[lo : lo + rows])
+    return dist
 
 
 def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
+    """One pass at the given grids: a TransversalityCertificate, or a dict
+    saying why none was found.  Raises VerificationError when the graph
+    residual exceeds 1e-10."""
     sigma = inst.sigma
-    dp = inst.p.deriv()
-    dq = inst.q.deriv()
+    dp, dq = inst.p.deriv(), inst.q.deriv()
 
     z = ball_grid(1.1, graph_resolution, 1)
     w_graph = solve_w(inst.p, inst.q, z)
     residual = float(np.max(np.abs(inst.p(z) - w_graph - np.conj(w_graph) * inst.q(z))))
+    if residual > 1e-10:
+        raise VerificationError("graph residual %g exceeds 1e-10" % residual, margins={"residual": residual})
     l = np.abs(dp(z) - np.conj(w_graph) * dq(z))
     bad_images = w_graph[l <= C * sigma]
 
@@ -345,83 +367,55 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     w_flat = (wr + 1j * wi).ravel()
     in_disc = np.abs(w_flat) <= inst.delta
     dist = np.full(w_flat.shape, np.inf)
-    if bad_images.size:
-        chunk = 4096
-        for lo in range(0, w_flat.size, chunk):
-            block = w_flat[lo : lo + chunk, None] - bad_images[None, :]
-            dist[lo : lo + chunk] = np.min(np.abs(block), axis=1)
+    dist[in_disc] = _nearest_distance(w_flat[in_disc], bad_images)
     free = (in_disc & (dist > C * sigma)).reshape(w_resolution, w_resolution)
 
-    cell = (axis[1] - axis[0]) ** 2
-    labels, count = _flood_components(free, w_resolution)
+    labels, count = _label_components(free)
     if count == 0:
-        return None, residual, {"reason": "no clear region in the w-disc"}
-    sizes = np.bincount(labels[labels >= 0].ravel(), minlength=count)
+        return {"reason": "no clear region in the w-disc"}
+    sizes = np.bincount(labels[free], minlength=count)
     main = int(np.argmax(sizes))
-    clearance_area = float(sizes[main] * cell)
-    in_main = (labels == main).ravel()
-    dist_masked = np.where(in_main, dist, -np.inf)
-    w0 = complex(w_flat[int(np.argmax(dist_masked))])
+    clearance_area = float(sizes[main] * (axis[1] - axis[0]) ** 2)
+    w0 = complex(w_flat[int(np.argmax(np.where((labels == main).ravel(), dist, -np.inf)))])
 
     zv = ball_grid(1.0, verify_resolution, 1)
-    s = inst.p(zv) - w0 - np.conj(w0) * inst.q(zv)
-    ds = dp(zv) - np.conj(w0) * dq(zv)
-    margin = eta_margin(np.abs(s), np.abs(ds))
-    detail = {
-        "w0": w0,
-        "margin": margin,
-        "clearance_area": clearance_area,
-        "residual": residual,
-    }
+    s = np.abs(inst.p(zv) - w0 - np.conj(w0) * inst.q(zv))
+    ds = np.abs(dp(zv) - np.conj(w0) * dq(zv))
+    margin = eta_margin(s, ds)
     if margin < sigma:
-        worst = int(np.argmin(np.maximum(np.abs(s), np.abs(ds))))
-        detail["failing_point"] = complex(zv[worst])
-        detail["failing_margins"] = (float(np.abs(s[worst])), float(np.abs(ds[worst])))
-        return None, residual, detail
-    return detail, residual, None
+        worst = int(np.argmin(np.maximum(s, ds)))
+        return dict(
+            w0=w0, margin=margin, clearance_area=clearance_area, residual=residual,
+            failing_point=complex(zv[worst]), failing_margins=(float(s[worst]), float(ds[worst])),
+        )
+    return TransversalityCertificate(
+        w0=w0, margin=margin, sigma=sigma, clearance_area=clearance_area,
+        clearance_claim=0.9 * math.pi * inst.delta**2,
+        grid=dict(
+            graph_resolution=graph_resolution, w_resolution=w_resolution, verify_resolution=verify_resolution, C=C
+        ),
+    )
 
 
 def find_good_w0(inst, graph_resolution=201, w_resolution=201, verify_resolution=201):
     """Select and certify a good perturbation value w0 for the instance.
 
     Computes the graph w(z) over the 11/10-ball, its near-critical image,
-    and picks the w-disc point (inside the largest clear component found
-    by flood fill) farthest from the C sigma-neighborhood of that image.
-    The returned certificate is validated by a brute-force transversality
-    check at eta = sigma over the unit ball; one automatic 2x refinement
-    is attempted before reporting failure.
+    and picks the w-disc point (inside the largest clear component of the
+    grid's 4-neighbour labelling) farthest from the C sigma-neighborhood of
+    that image.  The returned certificate is validated by a brute-force
+    transversality check at eta = sigma over the unit ball; one automatic
+    2x refinement is attempted before reporting failure.
     """
-    sigma = inst.sigma
-    attempt_specs = [
-        (graph_resolution, w_resolution, verify_resolution),
-        (2 * graph_resolution - 1, 2 * w_resolution - 1, 2 * verify_resolution - 1),
-    ]
-    last_detail = None
-    for spec in attempt_specs:
-        detail, residual, failure = _attempt(inst, *spec)
-        if residual > 1e-10:
-            raise VerificationError(
-                "graph residual %g exceeds 1e-10" % residual, margins={"residual": residual}
-            )
-        if detail is not None:
-            return TransversalityCertificate(
-                w0=detail["w0"],
-                margin=detail["margin"],
-                sigma=sigma,
-                clearance_area=detail["clearance_area"],
-                clearance_claim=0.9 * math.pi * inst.delta**2,
-                grid={
-                    "graph_resolution": spec[0],
-                    "w_resolution": spec[1],
-                    "verify_resolution": spec[2],
-                    "C": C,
-                },
-            )
-        last_detail = failure
+    spec = (graph_resolution, w_resolution, verify_resolution)
+    for grids in (spec, tuple(2 * r - 1 for r in spec)):
+        result = _attempt(inst, *grids)
+        if isinstance(result, TransversalityCertificate):
+            return result
     raise VerificationError(
         "no sigma-transverse w0 found after refinement",
-        failing_point=last_detail.get("failing_point") if last_detail else None,
-        margins=last_detail,
+        failing_point=result.get("failing_point"),
+        margins=result,
     )
 
 

@@ -176,6 +176,9 @@ def test_verify_localtrans(capsys):
         ["verify", "localtrans", "--seed", "1", "--trials", "1", "--pexp", "100000"],
         ["verify", "localtrans", "--seed", "1", "--trials", "1", "--delta", "1e-320"],
         ["verify", "localtrans", "--seed", "1", "--trials", "1", "--pexp", "1" + "0" * 320],
+        ["verify", "cutoff", "--k", "1e4", "--D", "0.1"],
+        ["verify", "deform", "--k", "1e4", "--D", "0.1"],
+        ["verify", "cutoff", "--k", "1e-100", "--D", "2e-99", "--c0", "5e-46"],
     ],
     ids=[
         "cutoff-k-nan",
@@ -195,6 +198,9 @@ def test_verify_localtrans(capsys):
         "localtrans-sigma-pexp",
         "localtrans-sigma-delta",
         "localtrans-pexp-beyond-float",
+        "cutoff-eps-negative",
+        "deform-eps-negative",
+        "cutoff-eps-negative-overflow",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -232,6 +238,14 @@ MALFORMED = [
 ] + [
     pytest.param("gamma-check", GOOD_PENCIL, doc, id="gamma-check-" + name)
     for name, doc in BAD_AUTOS.items()
+] + [
+    # a disc cycle with no pushforward presentation has no Dehn twist
+    pytest.param(
+        "matching",
+        {"fiber": {"model": "disc", "punctures": 3}, "cycles": ["x1 x3", "x2", "x1 x2"]},
+        GOOD_AUTO,
+        id="matching-untwistable-disc-cycle",
+    ),
 ]
 
 
@@ -250,6 +264,23 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, comman
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["pencil", "verify"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_out_exits_2_with_one_error_line(capsys, tmp_path, command, where):
+    out = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
+    if command == "pencil":
+        pencil_path = tmp_path / "pencil.json"
+        pencil_path.write_text(json.dumps(GOOD_PENCIL))
+        argv = ["pencil", "validate", str(pencil_path)]
+    else:
+        argv = ["verify", "radial", "--samples", "2"]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+
+
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
@@ -261,8 +292,9 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
         (["verify", "deform", "--k", "1000", "--D", "1", "--n", "1"], "verify_deform_k1000_D1_n1.json"),
         (["verify", "deform", "--k", "1000", "--D", "1", "--n", "3"], "verify_deform_k1000_D1_n3.json"),
         (["verify", "radial", "--samples", "50", "--seed", "3"], "verify_radial_samples50_seed3.json"),
+        (["verify", "localtrans", "--seed", "1", "--trials", "4"], "verify_localtrans_seed1_trials4.json"),
     ],
-    ids=["cutoff", "deform", "deform-n1", "deform-n3", "radial"],
+    ids=["cutoff", "deform", "deform-n1", "deform-n3", "radial", "localtrans"],
 )
 def test_numerical_reports_match_golden(capsys, argv, golden):
     # the golden files hold the reports of an earlier release, byte for byte

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lefpen.transversal import localtrans
 from lefpen.transversal.localtrans import (
     FD_STEP,
     CPoly,
@@ -213,3 +214,89 @@ def test_seeded_trials_success_rate():
         except VerificationError:
             pass
     assert ok >= 19
+
+
+# the reference for localtrans._label_components: a per-cell flood fill
+def _flood_components(free, res):
+    """Connected components (4-neighbor) of a boolean res x res grid."""
+    labels = np.full(free.shape, -1, dtype=int)
+    count = 0
+    for start in range(free.size):
+        if not free.flat[start] or labels.flat[start] >= 0:
+            continue
+        stack = [start]
+        labels.flat[start] = count
+        while stack:
+            idx = stack.pop()
+            i, j = divmod(idx, res)
+            for ni, nj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if 0 <= ni < res and 0 <= nj < res:
+                    nidx = ni * res + nj
+                    if free.flat[nidx] and labels.flat[nidx] < 0:
+                        labels.flat[nidx] = count
+                        stack.append(nidx)
+        count += 1
+    return labels, count
+
+
+def _equal_size_grids():
+    # isolated cells, then blocks and bars of four cells whose first cells
+    # come in a different raster order than their other cells
+    checker = np.indices((9, 9)).sum(axis=0) % 2 == 0
+    blocks = np.zeros((12, 12), dtype=bool)
+    blocks[1:3, 7:9] = blocks[2:4, 1:3] = blocks[8:10, 4:6] = True
+    bars = np.zeros((10, 10), dtype=bool)
+    bars[0:4, 6] = bars[1, 0:4] = bars[6, 2:6] = bars[5:9, 9] = True
+    return [checker, blocks, bars]
+
+
+def _instance_free_grids(monkeypatch):
+    # the free grids that find_good_w0 labels, recorded on the way through
+    seen = []
+    label = localtrans._label_components
+    monkeypatch.setattr(localtrans, "_label_components", lambda free: seen.append(free.copy()) or label(free))
+    for delta, res in ((0.1, 201), (0.2, 61)):
+        rng = np.random.default_rng(3)
+        for _ in range(6):
+            try:
+                find_good_w0(random_instance(rng, delta=delta), res, res, res)
+            except VerificationError:
+                pass
+    monkeypatch.undo()
+    return seen
+
+
+def test_label_components_matches_flood_fill(monkeypatch):
+    rng = np.random.default_rng(17)
+    grids = _instance_free_grids(monkeypatch)
+    assert any(_flood_components(g, len(g))[1] > 1 for g in grids)  # not all one blob
+    grids += [rng.random((res, res)) < density for res in (1, 2, 7, 30, 64) for density in (0.3, 0.55, 0.8)]
+    grids += _equal_size_grids()
+    grids += [np.zeros((15, 15), dtype=bool), np.ones((15, 15), dtype=bool)]
+    for free in grids:
+        labels, count = localtrans._label_components(free)
+        ref_labels, ref_count = _flood_components(free, len(free))
+        assert count == ref_count
+        assert np.array_equal(labels, ref_labels)
+
+
+def test_label_components_tie_break_is_first_in_raster_order():
+    # find_good_w0 keeps the argmax of the component sizes; among equal
+    # sizes that is the component whose first cell comes first
+    for free in _equal_size_grids():
+        labels, count = localtrans._label_components(free)
+        sizes = np.bincount(labels[free], minlength=count)
+        assert len(set(sizes)) == 1
+        first = np.flatnonzero(free.ravel())[0]
+        assert labels.flat[first] == int(np.argmax(sizes)) == 0
+
+
+def test_nearest_distance_blocks_match_one_block():
+    # blocks split the points, and the targets too once they outnumber
+    # BLOCK_ENTRIES; the minimum is exact, so any split gives the same bits
+    rng = np.random.default_rng(2)
+    for m, n in ((3000, 0), (3000, 1), (3000, 50), (8, 2 * localtrans.BLOCK_ENTRIES + 7)):
+        points = rng.normal(size=m) + 1j * rng.normal(size=m)
+        targets = rng.normal(size=n) + 1j * rng.normal(size=n)
+        whole = np.min(np.abs(points[:, None] - targets[None, :]), axis=1, initial=np.inf)
+        assert np.array_equal(localtrans._nearest_distance(points, targets), whole)
