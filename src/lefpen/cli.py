@@ -24,7 +24,7 @@ from .fiber import ModelMismatch, UnsupportedCycle, cycle_to_json
 from .pencil import (
     arc_labels,
     automorphism_from_json,
-    classify_arc,
+    classify_labels,
     enumerate_arcs,
     hurwitz_apply,
     in_gamma_detail,
@@ -129,8 +129,8 @@ def cmd_pencil_matching(args):
     rows = []
     try:
         for a in enumerate_arcs(P, args.max_len):
-            cls = classify_arc(a, P, trust_algebraic=args.trust_algebraic)
             eta1, eta2, s1, s2 = arc_labels(a, P)
+            cls = classify_labels(s1, s2, trust_algebraic=args.trust_algebraic)
             rows.append(
                 {
                     "base": a.base,

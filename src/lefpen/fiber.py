@@ -262,13 +262,6 @@ class FiberElement:
             return FiberElement(self.model, braid=self.braid.inverse())
         return FiberElement(self.model, matrix=_symplectic_inverse(self.matrix))
 
-    def __pow__(self, n):
-        base = self if n >= 0 else self.inverse()
-        out = FiberElement.identity(self.model)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, FiberElement) or self.model != other.model:
             return False

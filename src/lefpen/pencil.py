@@ -4,7 +4,9 @@ A pencil is an ordered tuple of vanishing cycles (c_1, .., c_r) in a fiber
 model.  It induces the enhanced monodromy: the homomorphism zeta sending
 x_i to the Dehn twist about c_i (words evaluated left to right), together
 with the labelling L(w x_i w^(-1)) = zeta(w)(c_i) of all conjugates of
-generators by cycle classes.
+generators by cycle classes.  A label applies the twists of w's letters to
+c_i one letter at a time, from the right (Picard-Lefschetz); each cycle's
+twist and its inverse are built once per pencil, cached outside equality.
 
 The automorphism group Gamma of the pencil consists of the pairs
 (braid b, fiber element g) with zeta(b.x_i) = g zeta(x_i) g^(-1) and
@@ -41,7 +43,6 @@ from .words import (
     Arc,
     Braid,
     FreeWord,
-    GeneratorConjugate,
     RankMismatch,
     artin_apply,
     braid_from_str,
@@ -94,7 +95,7 @@ class HypothesisError(ValueError):
 class Pencil:
     """An ordered positive factorization over a fiber model."""
 
-    __slots__ = ("fiber", "cycles")
+    __slots__ = ("fiber", "cycles", "_twists")
 
     def __init__(self, fiber, cycles):
         cycles = tuple(cycles)
@@ -105,10 +106,18 @@ class Pencil:
                 raise ModelMismatch("cycle %r does not live in the fiber model" % (c,))
         self.fiber = fiber
         self.cycles = cycles
+        self._twists = {}  # letter -> its twist; not part of equality
 
     @property
     def r(self):
         return len(self.cycles)
+
+    def twist(self, l):
+        """zeta of the letter l: the Dehn twist about c_|l|, inverted for
+        l < 0.  Built on first use and cached on the pencil."""
+        if l not in self._twists:
+            self._twists[l] = dehn_twist(self.cycles[l - 1]) if l > 0 else self.twist(-l).inverse()
+        return self._twists[l]
 
     def total_monodromy(self):
         return monodromy_of(self, FreeWord(self.r, tuple(range(1, self.r + 1))))
@@ -154,21 +163,17 @@ def monodromy_of(P, gamma):
     if gamma.rank != P.r:
         raise RankMismatch("word rank %d does not match pencil size %d" % (gamma.rank, P.r))
     out = FiberElement.identity(P.fiber)
-    twists = {}
     for l in gamma.letters:
-        i = abs(l)
-        if i not in twists:
-            twists[i] = dehn_twist(P.cycles[i - 1])
-        t = twists[i] if l > 0 else twists[i].inverse()
-        out = out * t
+        out = out * P.twist(l)
     return out
 
 
 def vanishing_label(P, gamma):
     """The cycle class attached to a conjugate of a generator.
 
-    L(w x_i w^(-1)) = zeta(w)(c_i).  Accepts a GeneratorConjugate or a
-    FreeWord that cyclically reduces to a positive generator.
+    L(w x_i w^(-1)) = zeta(w)(c_i), found by twisting c_i along the letters
+    of w from the right.  Accepts a GeneratorConjugate or a FreeWord that
+    cyclically reduces to a positive generator.
     """
     if isinstance(gamma, FreeWord):
         gc = is_generator_conjugate(gamma)
@@ -177,7 +182,10 @@ def vanishing_label(P, gamma):
         gamma = gc
     if gamma.conjugator.rank != P.r:
         raise RankMismatch("generator conjugate rank does not match pencil size")
-    return act(monodromy_of(P, gamma.conjugator), P.cycles[gamma.core - 1])
+    c = P.cycles[gamma.core - 1]
+    for l in reversed(gamma.conjugator.letters):
+        c = act(P.twist(l), c)
+    return c
 
 
 def hurwitz_apply(b, P):
@@ -212,7 +220,7 @@ def in_gamma_detail(A, P):
     for i in range(1, P.r + 1):
         u = artin_apply(A.b, FreeWord.generator(P.r, i))
         lhs_elem = monodromy_of(P, u)
-        rhs_elem = A.g * dehn_twist(P.cycles[i - 1]) * ginv
+        rhs_elem = A.g * P.twist(i) * ginv
         if lhs_elem != rhs_elem:
             return False, {
                 "generator": i,
@@ -243,7 +251,13 @@ def arc_labels(a, P):
 
 
 def classify_arc(a, P, trust_algebraic=False):
-    """Classify an arc by the cycles of its supporting pair.
+    """Classify an arc by the labels of its supporting pair; see classify_labels."""
+    _, _, s1, s2 = arc_labels(a, P)
+    return classify_labels(s1, s2, trust_algebraic=trust_algebraic)
+
+
+def classify_labels(s1, s2, trust_algebraic=False):
+    """The class of an arc whose supporting pair has the labels S', S''.
 
     Matching if the two classes agree; otherwise the certified geometric
     intersection number decides DisjointPair (0) or OnceIntersecting (1).
@@ -252,11 +266,10 @@ def classify_arc(a, P, trust_algebraic=False):
     to a geometric count (the disc model's unsupported pairs stay Other,
     their bound carries no information).
     """
-    _, _, s1, s2 = arc_labels(a, P)
     if cycle_eq(s1, s2):
         return ArcClass(MATCHING)
     value, exactness = intersection_number(s1, s2)
-    if exactness != EXACT and not (trust_algebraic and P.fiber.kind == SP):
+    if exactness != EXACT and not (trust_algebraic and s1.model.kind == SP):
         return ArcClass(OTHER, "intersection %d is only a lower bound" % (value,))
     if value == 0:
         return ArcClass(DISJOINT_PAIR)
@@ -382,65 +395,52 @@ def enumerate_matching_arcs(P, max_carrier_len, trust_algebraic=False):
     ]
 
 
-def kernel_orbit(a, P, gens, depth, trust_algebraic=False):
-    """Closure of an arc under pushforward by stabilizer braids.
-
-    Every generator must pass the membership test; the pushforward of
-    Arc(i, c) by a braid b is Arc(i, b * c).  Classification is invariant
-    along the orbit and asserted on every element reached.
-    """
-    for A in gens:
-        if not in_gamma(A, P):
-            raise ValueError("orbit generator is not in the stabilizer")
-    base_class = classify_arc(a, P, trust_algebraic=trust_algebraic)
-    moves = []
-    for A in gens:
-        moves.append(A.b)
-        moves.append(A.b.inverse())
-    seen = {arc_key(a): a}
-    frontier = [a]
-    for _ in range(depth):
-        new_frontier = []
-        for cur in frontier:
-            for b in moves:
-                nxt = Arc(cur.base, b * cur.carrier)
-                key = arc_key(nxt)
-                if key not in seen:
-                    got = classify_arc(nxt, P, trust_algebraic=trust_algebraic)
-                    if got != base_class:
-                        raise AssertionError(
-                            "orbit element classifies as %s, expected %s" % (got, base_class)
-                        )
-                    seen[key] = nxt
-                    new_frontier.append(nxt)
-        frontier = new_frontier
-        if not frontier:
-            break
-    return set(seen.values())
-
-
-def hurwitz_orbit(P, depth):
-    """Closure of a pencil under elementary Hurwitz moves, up to given depth."""
+def _closure(start, neighbours, depth, key):
+    """Breadth-first closure of start under neighbours, to the given depth:
+    {key: first element reached with that key}, in the order reached."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    moves = []
-    for i in range(1, P.r):
-        moves.append(Braid.generator(P.r, i))
-        moves.append(Braid.generator(P.r, i, -1))
-    seen = {P}
-    frontier = [P]
+    seen = {key(start): start}
+    frontier = [start]
     for _ in range(depth):
         new_frontier = []
         for cur in frontier:
-            for b in moves:
-                nxt = hurwitz_apply(b, cur)
-                if nxt not in seen:
-                    seen.add(nxt)
+            for nxt in neighbours(cur):
+                k = key(nxt)
+                if k not in seen:
+                    seen[k] = nxt
                     new_frontier.append(nxt)
         frontier = new_frontier
         if not frontier:
             break
     return seen
+
+
+def kernel_orbit(a, P, gens, depth, trust_algebraic=False):
+    """Closure of an arc under pushforward by stabilizer braids.
+
+    Every generator must pass the membership test; the pushforward of
+    Arc(i, c) by a braid b is Arc(i, b * c).  Classification is invariant
+    along the orbit and asserted on every element reached, in BFS order.
+    """
+    for A in gens:
+        if not in_gamma(A, P):
+            raise ValueError("orbit generator is not in the stabilizer")
+    moves = [m for A in gens for m in (A.b, A.b.inverse())]
+    pushed = lambda cur: (Arc(cur.base, b * cur.carrier) for b in moves)
+    reached = list(_closure(a, pushed, depth, arc_key).values())
+    base_class = classify_arc(a, P, trust_algebraic=trust_algebraic)
+    for x in reached[1:]:
+        got = classify_arc(x, P, trust_algebraic=trust_algebraic)
+        if got != base_class:
+            raise AssertionError("orbit element classifies as %s, expected %s" % (got, base_class))
+    return set(reached)
+
+
+def hurwitz_orbit(P, depth):
+    """Closure of a pencil under elementary Hurwitz moves, up to given depth."""
+    moves = [Braid.generator(P.r, i, e) for i in range(1, P.r) for e in (1, -1)]
+    return set(_closure(P, lambda cur: (hurwitz_apply(b, cur) for b in moves), depth, lambda Q: Q))
 
 
 # --- files ----------------------------------------------------------------

@@ -224,6 +224,7 @@ BAD_PENCILS = {
 BAD_AUTOS = {
     "braid-number": {"braid": 5, "fiber_element": [1, 0, 0, 1]},
     "matrix-float": {"braid": "s1", "fiber_element": [1.0, 0, 0, 1]},
+    "matrix-not-symplectic": {"braid": "s1", "fiber_element": [2, 0, 0, 1]},
 }
 PENCIL_COMMANDS = {
     "validate": [],

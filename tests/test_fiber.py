@@ -151,6 +151,11 @@ def test_sp_matrices_stay_symplectic():
     assert g * gi == FiberElement.identity(m)
 
 
+def test_non_symplectic_matrix_rejected():
+    with pytest.raises(ValueError, match="symplectic"):
+        FiberElement(TORUS, matrix=[[2, 0], [0, 1]])
+
+
 def test_sp_conjugation_equivariance():
     m = FiberModel.sp(2)
     vecs = [(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (1, 1, 1, 1)]

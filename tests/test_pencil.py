@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from lefpen.words import Arc, Braid, FreeWord, braid_to_str, word_from_str
+import lefpen.pencil
+from lefpen.words import Arc, Braid, FreeWord, GeneratorConjugate, braid_to_str, word_from_str
 from lefpen.fiber import (
     Cycle,
     FiberElement,
@@ -18,6 +19,7 @@ from lefpen.pencil import (
     MATCHING,
     ONCE_INTERSECTING,
     OTHER,
+    ArcClass,
     Automorphism,
     HypothesisError,
     Pencil,
@@ -55,18 +57,32 @@ def rand_braid(strands, max_len=10):
     return Braid(strands, [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(n)])
 
 
-def rand_torus_pencil(max_r=6):
+def rand_torus_pencil(max_r=6, g=rng):
+    return rand_homology_pencil(T, g.randint(2, max_r), 5, g)
+
+
+def rand_homology_pencil(model, r, bound, g):
     from math import gcd
 
-    r = rng.randint(2, max_r)
     cycles = []
     for _ in range(r):
         while True:
-            p, q = rng.randint(-5, 5), rng.randint(-5, 5)
-            if (p, q) != (0, 0) and gcd(abs(p), abs(q)) == 1:
+            v = tuple(g.randint(-bound, bound) for _ in range(model.dim))
+            if any(v) and gcd(*(abs(x) for x in v)) == 1:
                 break
-        cycles.append(Cycle(T, vector=(p, q)))
-    return Pencil(T, cycles)
+        cycles.append(Cycle(model, vector=v))
+    return Pencil(model, cycles)
+
+
+def rand_sp_pencil(g):
+    return rand_homology_pencil(FiberModel.sp(g.randint(1, 3)), g.randint(2, 5), 2, g)
+
+
+def rand_disc_pencil(g):
+    # round range curves, so every cycle has a Dehn twist
+    m = FiberModel.disc(g.randint(2, 4))
+    ranges = [sorted((g.randint(1, m.punctures), g.randint(1, m.punctures))) for _ in range(g.randint(2, 4))]
+    return Pencil(m, [standard_curve(m, i, j) for i, j in ranges])
 
 
 def test_monodromy_of_generators_and_identity():
@@ -83,16 +99,24 @@ def test_vanishing_label_examples():
 
 
 def test_label_equivariance():
-    # L(w gamma w^-1) = zeta(w)(L(gamma)) for conjugates of generators
-    for _ in range(200):
-        P = rand_torus_pencil()
-        r = P.r
-        w = FreeWord(r, [rng.choice([1, -1]) * rng.randint(1, r) for _ in range(rng.randint(0, 8))])
-        i = rng.randint(1, r)
-        gamma = FreeWord.generator(r, i)
-        lhs = vanishing_label(P, w * gamma * w.inverse())
-        rhs = act(monodromy_of(P, w), vanishing_label(P, gamma))
-        assert cycle_eq(lhs, rhs)
+    # L(w gamma w^-1) = zeta(w)(L(gamma)) for conjugates of generators, and
+    # the letter-by-letter label is the image under the product of twists
+    cases = [
+        (lambda g: rand_torus_pencil(g=g), rng, 200),
+        (rand_sp_pencil, random.Random(5), 100),
+        (rand_disc_pencil, random.Random(6), 60),
+    ]
+    for make, g, trials in cases:
+        for _ in range(trials):
+            P = make(g)
+            r = P.r
+            w = FreeWord(r, [g.choice([1, -1]) * g.randint(1, r) for _ in range(g.randint(0, 8))])
+            i = g.randint(1, r)
+            gamma = FreeWord.generator(r, i)
+            lhs = vanishing_label(P, w * gamma * w.inverse())
+            rhs = act(monodromy_of(P, w), vanishing_label(P, gamma))
+            assert cycle_eq(lhs, rhs)
+            assert vanishing_label(P, GeneratorConjugate(i, w)) == act(monodromy_of(P, w), P.cycles[i - 1])
 
 
 def test_hurwitz_generator_rule():
@@ -367,6 +391,40 @@ def test_kernel_orbit_multiple_generators():
     assert len(all_gens) > len(one_gen)
     for el in all_gens:
         assert classify_arc(el, P_ABAB).kind == MATCHING
+
+
+def test_kernel_orbit_asserts_class_in_bfs_order(monkeypatch):
+    a = Arc(1, Braid(4, (-2,)))
+    gen = automorphism_from_arc(Arc(1, Braid(4)), P_ABAB)
+    real = lefpen.pencil.classify_arc
+    order = []
+
+    def record(x, P, trust_algebraic=False):
+        order.append(arc_key(x))
+        return real(x, P, trust_algebraic=trust_algebraic)
+
+    monkeypatch.setattr(lefpen.pencil, "classify_arc", record)
+    kernel_orbit(a, P_ABAB, [gen], 3)
+    assert len(order) > 4 and order[0] == arc_key(a)
+    flagged = {order[2], order[-1]}
+
+    def flag(x, P, trust_algebraic=False):
+        if arc_key(x) in flagged:
+            return ArcClass(OTHER, repr(arc_key(x)))
+        return real(x, P, trust_algebraic=trust_algebraic)
+
+    monkeypatch.setattr(lefpen.pencil, "classify_arc", flag)
+    with pytest.raises(AssertionError) as err:
+        kernel_orbit(a, P_ABAB, [gen], 3)
+    assert str(err.value) == "orbit element classifies as Other(%r), expected Matching" % (order[2],)
+
+
+def test_negative_orbit_depth_rejected():
+    gen = automorphism_from_arc(Arc(1, Braid(4)), P_ABAB)
+    with pytest.raises(ValueError, match="depth"):
+        hurwitz_orbit(P_ABAB, -1)
+    with pytest.raises(ValueError, match="depth"):
+        kernel_orbit(Arc(1, Braid(4, (-2,))), P_ABAB, [gen], -1)
 
 
 def test_hurwitz_orbit_disc_model():
