@@ -51,6 +51,7 @@ from .transversal import (
     solve_w_residual,
     verify_deform_bounds,
 )
+from .transversal.morse import BLOCK_ENTRIES
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
 
@@ -90,7 +91,7 @@ def _fail(message):
 def cmd_pencil_validate(args):
     try:
         P = load_pencil(args.file)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         return _fail("invalid pencil file: %s" % e)
     report = {"ok": True, "r": P.r, "fiber": pencil_to_json(P)["fiber"]}
     if args.closed:
@@ -107,7 +108,7 @@ def cmd_pencil_hurwitz(args):
     try:
         P = load_pencil(args.file)
         b = braid_from_str(P.r, args.braid)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e))
     try:
         Q = hurwitz_apply(b, P)
@@ -122,7 +123,7 @@ def cmd_pencil_hurwitz(args):
 def cmd_pencil_matching(args):
     try:
         P = load_pencil(args.file)
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e))
     if args.max_len < 0:
         return _fail("--max-len must be >= 0")
@@ -151,7 +152,7 @@ def cmd_pencil_gamma_check(args):
         P = load_pencil(args.file)
         with open(args.auto) as fh:
             A = automorphism_from_json(P.fiber, P.r, json.load(fh))
-    except (OSError, ValueError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:
         return _fail(str(e))
     try:
         ok, detail = in_gamma_detail(A, P)
@@ -203,6 +204,8 @@ def cmd_verify_deform(args):
         return _fail(str(e))
     if args.n < 1:
         return _fail("--n must be a positive dimension")
+    if args.n**4 > BLOCK_ENTRIES:  # one grid row's jets must fit in a block
+        return _fail("--n %d is beyond desk scale: n^4 must be at most %d" % (args.n, BLOCK_ENTRIES))
     model = MorseModel.quadratic(args.n, value=0.5)
     h = DeformedMorse(model, profile)
     report = verify_deform_bounds(h, deform_grid(model, profile))

@@ -17,6 +17,11 @@ computable proxies:
 
 Cycles are unoriented: homology vectors are kept up to global sign, disc
 words up to rotation and inversion.
+
+Input is validated only by the public ``Cycle``/``FiberElement``
+constructors and the JSON loaders built on them.  The algebra's results
+(products, inverses, twists, ``act``) are valid by construction and are
+built through ``_new`` without checks.
 """
 
 from __future__ import annotations
@@ -50,16 +55,12 @@ class FiberModel:
     punctures: int = 0
 
     def __post_init__(self):
-        if self.kind == TORUS:
-            pass
-        elif self.kind == SP:
-            if self.genus < 1:
-                raise ValueError("sp model needs genus >= 1")
-        elif self.kind == DISC:
-            if self.punctures < 2:
-                raise ValueError("disc model needs at least 2 punctures")
-        else:
+        if self.kind not in (TORUS, SP, DISC):
             raise ValueError("unknown fiber model %r" % (self.kind,))
+        if self.kind == SP and self.genus < 1:
+            raise ValueError("sp model needs genus >= 1")
+        if self.kind == DISC and self.punctures < 2:
+            raise ValueError("disc model needs at least 2 punctures")
 
     @classmethod
     def torus(cls):
@@ -106,6 +107,14 @@ def _integers(values, what):
     return tuple(map(int, values))
 
 
+def _new(cls, **fields):
+    """An instance of cls with its slots set from fields, checks skipped."""
+    obj = object.__new__(cls)
+    for name in cls.__slots__:
+        setattr(obj, name, fields.get(name))
+    return obj
+
+
 def _normalize_sign(vec):
     for x in vec:
         if x > 0:
@@ -144,7 +153,6 @@ class Cycle:
 
     def __init__(self, model, vector=None, word=None, support=None):
         self.model = model
-        self.support = None
         if model.kind in (TORUS, SP):
             vec = _integers(vector, "cycle vector entry")
             if len(vec) != model.dim:
@@ -154,7 +162,7 @@ class Cycle:
             if gcd(*(abs(x) for x in vec)) != 1:
                 raise ValueError("cycle vector must be primitive: %r" % (vec,))
             self.vector = _normalize_sign(vec)
-            self.word = None
+            self.word = self.support = None
         elif model.kind == DISC:
             if isinstance(word, FreeWord):
                 if word.rank != model.punctures:
@@ -163,21 +171,16 @@ class Cycle:
             else:
                 # free reduction first, so the canonical form is well defined
                 letters = FreeWord(model.punctures, tuple(word)).letters
-            canon = _canonical_cyclic(letters)
-            if not canon:
-                raise ValueError("disc cycle word must be essential (nonempty after cyclic reduction)")
-            self.word = FreeWord(model.punctures, canon)
+            self.word, self.support = _disc_fields(model.punctures, letters, support)
             self.vector = None
+            if not self.word.letters:
+                raise ValueError("disc cycle word must be essential (nonempty after cyclic reduction)")
             if support is not None:
                 carrier, (i, j) = support
                 pushed = artin_apply(carrier, FreeWord(model.punctures, tuple(range(i, j + 1))))
-                if _canonical_cyclic(pushed.letters) != canon:
+                if _canonical_cyclic(pushed.letters) != self.word.letters:
                     raise ValueError("support presentation does not match the cycle word")
                 self.support = (carrier, (i, j))
-            else:
-                rng = _as_range(canon)
-                if rng is not None:
-                    self.support = (Braid.identity(model.punctures), rng)
         else:
             raise ValueError("unknown model")
 
@@ -195,9 +198,17 @@ class Cycle:
         return "Cycle(%s, %r)" % (self.model.kind, list(self.vector))
 
 
+def _disc_fields(n, letters, support):
+    """(canonical word, presentation) of the disc cycle of a freely reduced
+    word; a round range word presents itself when none is given."""
+    word = FreeWord(n, _canonical_cyclic(letters))
+    rng = _as_range(word.letters) if support is None else None
+    return word, (Braid.identity(n), rng) if rng else support
+
+
 def _as_range(letters):
     """Recognize x_i x_{i+1} .. x_j (up to the stored canonical form)."""
-    if any(l < 0 for l in letters):
+    if not letters or any(l < 0 for l in letters):
         return None
     idx = sorted(letters)
     lo, hi = idx[0], idx[-1]
@@ -230,7 +241,8 @@ class FiberElement:
             d = model.dim
             if len(mat) != d or any(len(row) != d for row in mat):
                 raise ValueError("matrix must be %dx%d" % (d, d))
-            if not _is_symplectic(mat):
+            # J^(-1) M^t J M == Id, i.e. M^t J M == J
+            if _matmul(_symplectic_inverse(mat), mat) != FiberElement.identity(model).matrix:
                 raise ValueError("matrix does not preserve the symplectic form")
             self.matrix = mat
             self.braid = None
@@ -245,22 +257,22 @@ class FiberElement:
     @classmethod
     def identity(cls, model):
         if model.kind == DISC:
-            return cls(model, braid=Braid.identity(model.punctures))
+            return _new(cls, model=model, braid=Braid.identity(model.punctures))
         d = model.dim
-        return cls(model, matrix=[[1 if i == j else 0 for j in range(d)] for i in range(d)])
+        return _new(cls, model=model, matrix=tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
 
     def __mul__(self, other):
         if not isinstance(other, FiberElement):
             return NotImplemented
         _require_same_model(self, other)
         if self.model.kind == DISC:
-            return FiberElement(self.model, braid=self.braid * other.braid)
-        return FiberElement(self.model, matrix=_matmul(self.matrix, other.matrix))
+            return _new(FiberElement, model=self.model, braid=self.braid * other.braid)
+        return _new(FiberElement, model=self.model, matrix=_matmul(self.matrix, other.matrix))
 
     def inverse(self):
         if self.model.kind == DISC:
-            return FiberElement(self.model, braid=self.braid.inverse())
-        return FiberElement(self.model, matrix=_symplectic_inverse(self.matrix))
+            return _new(FiberElement, model=self.model, braid=self.braid.inverse())
+        return _new(FiberElement, model=self.model, matrix=_symplectic_inverse(self.matrix))
 
     def __eq__(self, other):
         if not isinstance(other, FiberElement) or self.model != other.model:
@@ -284,22 +296,6 @@ def _matmul(a, b):
         tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
         for i in range(n)
     )
-
-
-def _is_symplectic(mat):
-    """M^t J M == J for the block-diagonal standard form."""
-    n = len(mat)
-    cols = list(zip(*mat))
-    for i in range(n):
-        for j in range(n):
-            want = 0
-            if j == i + 1 and i % 2 == 0:
-                want = 1
-            elif j == i - 1 and i % 2 == 1:
-                want = -1
-            if symplectic_pairing(cols[i], cols[j]) != want:
-                return False
-    return True
 
 
 def _symplectic_inverse(mat):
@@ -326,22 +322,18 @@ def dehn_twist(c):
     """
     model = c.model
     if model.kind in (TORUS, SP):
-        d = model.dim
-        cols = [[0] * d for _ in range(d)]
-        for j in range(d):
-            e = tuple(1 if t == j else 0 for t in range(d))
-            coeff = symplectic_pairing(e, c.vector)
-            for i in range(d):
-                cols[j][i] = (1 if i == j else 0) + coeff * c.vector[i]
-        mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-        return FiberElement(model, matrix=mat)
+        # column j is e_j + <e_j, c> c, and <e_j, c> = (Jc)_j
+        v = c.vector
+        jc = [v[j + 1] if j % 2 == 0 else -v[j - 1] for j in range(len(v))]
+        mat = tuple(tuple(int(i == j) + jc[j] * v[i] for j in range(len(v))) for i in range(len(v)))
+        return _new(FiberElement, model=model, matrix=mat)
     if c.support is None:
         raise UnsupportedCycle(
             "disc cycle %r has no pushforward presentation; build it via "
             "standard_curve/act" % (word_to_str(c.word),)
         )
     carrier, (i, j) = c.support
-    return FiberElement(model, braid=carrier * full_twist(model.punctures, i, j) * carrier.inverse())
+    return _new(FiberElement, model=model, braid=carrier * full_twist(model.punctures, i, j) * carrier.inverse())
 
 
 def full_twist(n, i, j):
@@ -358,14 +350,14 @@ def act(g, c):
         raise ModelMismatch("fiber element and cycle from different models")
     model = c.model
     if model.kind in (TORUS, SP):
-        v = tuple(sum(g.matrix[i][j] * c.vector[j] for j in range(len(c.vector))) for i in range(len(c.vector)))
-        return Cycle(model, vector=v)
-    pushed = artin_apply(g.braid, c.word)
+        v = tuple(sum(x * y for x, y in zip(row, c.vector)) for row in g.matrix)
+        return _new(Cycle, model=model, vector=_normalize_sign(v))
     support = None
     if c.support is not None:
         carrier, rng = c.support
         support = (g.braid * carrier, rng)
-    return Cycle(model, word=pushed.letters, support=support)
+    word, support = _disc_fields(model.punctures, artin_apply(g.braid, c.word).letters, support)
+    return _new(Cycle, model=model, word=word, support=support)
 
 
 def cycle_eq(c1, c2):
@@ -406,7 +398,7 @@ def base_half_twist(d, model):
         raise ModelMismatch("base half-twists live in the disc model")
     if d.strands != model.punctures:
         raise ValueError("puncture arc strand count does not match the model")
-    return FiberElement(model, braid=half_twist(d))
+    return _new(FiberElement, model=model, braid=half_twist(d))
 
 
 # --- JSON-compatible encodings ------------------------------------------

@@ -60,6 +60,7 @@ from .fiber import (
     FiberElement,
     ModelMismatch,
     _as_range,
+    _new,
     act,
     base_half_twist,
     cycle_eq,
@@ -312,7 +313,7 @@ def base_twist_automorphism(a, d, P):
     _, _, s1, s2 = arc_labels(a, P)
     tau = base_half_twist(d, P.fiber)
 
-    pulled = act(FiberElement(P.fiber, braid=d.carrier.inverse()), s1)
+    pulled = act(_new(FiberElement, model=P.fiber, braid=d.carrier.inverse()), s1)
     rng = _as_range(pulled.word.letters)
     if rng is None:
         raise HypothesisError("i", "S' is not in the supported standard position for delta")

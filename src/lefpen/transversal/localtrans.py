@@ -199,22 +199,24 @@ class LocalTransInstance:
 
 
 def solve_w(p, q, z):
-    """The graph value w(z) with p(z) - w - conj(w) q(z) = 0.
-
-    Requires |q(z)| < 1; vectorized over z.
-    """
-    pv = p(z)
-    qv = q(z)
-    qabs = np.abs(qv)
-    if np.any(qabs >= 1.0):
-        raise ValueError("|q| >= 1 somewhere; the graph equation degenerates")
-    return (pv - np.conj(pv) * qv) / (1.0 - qabs**2)
+    """The graph value w(z) with p(z) - w - conj(w) q(z) = 0.  Requires
+    |q(z)| < 1; vectorized over z."""
+    return _graph(p, q, z)[0]
 
 
 def solve_w_residual(p, q, z):
     """max |s(z, w(z))| over the given points."""
-    w = solve_w(p, q, z)
-    return float(np.max(np.abs(p(z) - w - np.conj(w) * q(z))))
+    return _graph(p, q, z)[1]
+
+
+def _graph(p, q, z):
+    """(w(z), max |s(z, w(z))|), both from one evaluation of p and q."""
+    pv, qv = p(z), q(z)
+    qabs = np.abs(qv)
+    if np.any(qabs >= 1.0):
+        raise ValueError("|q| >= 1 somewhere; the graph equation degenerates")
+    w = (pv - np.conj(pv) * qv) / (1.0 - qabs**2)
+    return w, float(np.max(np.abs(pv - w - np.conj(w) * qv), initial=0.0))
 
 
 def dw_dz_jacobian(p, q, z):
@@ -355,8 +357,7 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     dp, dq = inst.p.deriv(), inst.q.deriv()
 
     z = ball_grid(1.1, graph_resolution, 1)
-    w_graph = solve_w(inst.p, inst.q, z)
-    residual = float(np.max(np.abs(inst.p(z) - w_graph - np.conj(w_graph) * inst.q(z))))
+    w_graph, residual = _graph(inst.p, inst.q, z)
     if residual > 1e-10:
         raise VerificationError("graph residual %g exceeds 1e-10" % residual, margins={"residual": residual})
     l = np.abs(dp(z) - np.conj(w_graph) * dq(z))

@@ -179,6 +179,8 @@ def test_verify_localtrans(capsys):
         ["verify", "cutoff", "--k", "1e4", "--D", "0.1"],
         ["verify", "deform", "--k", "1e4", "--D", "0.1"],
         ["verify", "cutoff", "--k", "1e-100", "--D", "2e-99", "--c0", "5e-46"],
+        ["verify", "deform", "--k", "1000", "--D", "1", "--n", "17"],
+        ["verify", "deform", "--k", "1000", "--D", "1", "--n", "1000000"],
     ],
     ids=[
         "cutoff-k-nan",
@@ -201,6 +203,8 @@ def test_verify_localtrans(capsys):
         "cutoff-eps-negative",
         "deform-eps-negative",
         "cutoff-eps-negative-overflow",
+        "deform-n-beyond-block",
+        "deform-n-huge",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):

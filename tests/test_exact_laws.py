@@ -2,16 +2,29 @@
 
 Disc pencils are drawn as round range curves pushed forward by short
 braids, so every cycle keeps a twistable presentation.
+
+The algebra builds its results without the public constructors' checks;
+the trusted-path laws rebuild every result through those constructors.
 """
 
 import json
 from math import gcd
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lefpen.words import Braid, FreeWord
-from lefpen.fiber import Cycle, FiberElement, FiberModel, act, dehn_twist, standard_curve
+from lefpen.words import Arc, Braid, FreeWord
+from lefpen.fiber import (
+    Cycle,
+    FiberElement,
+    FiberModel,
+    act,
+    base_half_twist,
+    dehn_twist,
+    standard_curve,
+    symplectic_pairing,
+)
 from lefpen.pencil import (
     Automorphism,
     Pencil,
@@ -121,3 +134,116 @@ def test_json_round_trips(data):
     A = Automorphism(data.draw(braids(P.r, 4)) if P.r > 1 else Braid(1), data.draw(elements(P.fiber)))
     back = automorphism_from_json(P.fiber, P.r, json.loads(json.dumps(automorphism_to_json(A))))
     assert back.b == A.b and back.g == A.g
+
+
+# --- the trusted construction path -------------------------------------
+
+def rebuilt_element(g):
+    """g through the public, checking constructor."""
+    if g.model.kind == "disc":
+        return FiberElement(g.model, braid=g.braid)
+    return FiberElement(g.model, matrix=g.matrix)
+
+
+def rebuilt_cycle(c):
+    if c.model.kind == "disc":
+        return Cycle(c.model, word=c.word, support=c.support)
+    return Cycle(c.model, vector=c.vector)
+
+
+def column_twist_matrix(c):
+    """Reference: the twist's columns e_j + <e_j, c> c through the pairing."""
+    d = c.model.dim
+    cols = [[0] * d for _ in range(d)]
+    for j in range(d):
+        e = tuple(1 if t == j else 0 for t in range(d))
+        coeff = symplectic_pairing(e, c.vector)
+        for i in range(d):
+            cols[j][i] = (1 if i == j else 0) + coeff * c.vector[i]
+    return tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+
+
+def pairing_loop_symplectic(mat):
+    """Reference: M^t J M == J, entry by entry through the pairing."""
+    n = len(mat)
+    cols = list(zip(*mat))
+    for i in range(n):
+        for j in range(n):
+            want = 0
+            if j == i + 1 and i % 2 == 0:
+                want = 1
+            elif j == i - 1 and i % 2 == 1:
+                want = -1
+            if symplectic_pairing(cols[i], cols[j]) != want:
+                return False
+    return True
+
+
+@st.composite
+def any_cycles(draw, model):
+    """cycles(model), or in the disc model also an essential word with no
+    presentation unless it is a round range word."""
+    if model.kind != "disc" or draw(st.booleans()):
+        return draw(cycles(model))
+    word = draw(free_words(model.punctures, 6))
+    try:
+        return Cycle(model, word=word)
+    except ValueError:
+        assume(False)
+
+
+@LAWS
+@given(st.data())
+def test_algebra_results_pass_the_public_constructor(data):
+    model = data.draw(models())
+    g, h = data.draw(elements(model)), data.draw(elements(model))
+    built = [g * h, g.inverse(), FiberElement.identity(model), dehn_twist(data.draw(cycles(model)))]
+    if model.kind == "disc":
+        n = model.punctures
+        built.append(base_half_twist(Arc(data.draw(st.integers(1, n - 1)), data.draw(braids(n, 4))), model))
+    for x in built:
+        back = rebuilt_element(x)
+        assert back == x and hash(back) == hash(x)
+
+
+@LAWS
+@given(st.data())
+def test_act_equals_its_public_rebuild(data):
+    model = data.draw(models())
+    g = data.draw(elements(model))
+    image = act(g, data.draw(any_cycles(model)))
+    back = rebuilt_cycle(image)  # disc: the carried support passes the support check
+    assert back == image and hash(back) == hash(image)
+    assert back.vector == image.vector and back.word == image.word
+    assert back.support == image.support
+
+
+@LAWS
+@given(st.data())
+def test_closed_form_twist_matches_column_construction(data):
+    model = data.draw(models().filter(lambda m: m.kind != "disc"))
+    c = data.draw(cycles(model))
+    assert dehn_twist(c).matrix == column_twist_matrix(c)
+
+
+@LAWS
+@given(st.data())
+def test_symplectic_check_matches_pairing_loop(data):
+    model = data.draw(models().filter(lambda m: m.kind != "disc"))
+    d = model.dim
+    kind = data.draw(st.sampled_from(["random", "symplectic", "perturbed"]))
+    if kind == "random":
+        entries = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        mat = tuple(map(tuple, data.draw(st.lists(entries, min_size=d, max_size=d))))
+    else:
+        mat = [list(row) for row in data.draw(elements(model)).matrix]
+        if kind == "perturbed":
+            mat[data.draw(st.integers(0, d - 1))][data.draw(st.integers(0, d - 1))] += data.draw(
+                st.sampled_from([-1, 1])
+            )
+        mat = tuple(map(tuple, mat))
+    if pairing_loop_symplectic(mat):
+        assert FiberElement(model, matrix=mat).matrix == mat
+    else:
+        with pytest.raises(ValueError, match="matrix does not preserve the symplectic form"):
+            FiberElement(model, matrix=mat)

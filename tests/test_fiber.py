@@ -146,9 +146,11 @@ def test_sp_matrices_stay_symplectic():
     els = [dehn_twist(Cycle(m, vector=v)) for v in vecs]
     g = FiberElement.identity(m)
     for e in els:
-        g = g * e  # constructor re-checks M^t J M = J
+        g = g * e
     gi = g.inverse()
     assert g * gi == FiberElement.identity(m)
+    # products are built unchecked; the public constructor accepts them
+    assert FiberElement(m, matrix=g.matrix) == g and FiberElement(m, matrix=gi.matrix) == gi
 
 
 def test_non_symplectic_matrix_rejected():
