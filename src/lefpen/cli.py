@@ -5,10 +5,13 @@ Two families of subcommands:
     lefpen pencil {validate, hurwitz, matching, gamma-check}
     lefpen verify {cutoff, deform, localtrans, radial}
 
-Reports are JSON on stdout (sorted keys, so identical inputs give
-byte-identical output); --out redirects the report to a file.  Exit
-codes: 0 success / verified, 1 a check ran and failed, 2 usage or input
-error.
+Each ``cmd_*`` returns ``(report, ok)`` and raises ``OSError`` or
+``ValueError`` on bad input (an unreadable file, a malformed or too deeply
+nested document, a failed constructor check, a bad flag).  ``main`` alone
+turns those into exit 2 with one ``error:`` line on stderr, and alone
+writes the report: JSON on stdout (sorted keys, so identical inputs give
+byte-identical output), or to the file --out names.  Exit codes: 0
+success / verified, 1 a check ran and failed, 2 usage or input error.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .words import RankMismatch, braid_from_str, braid_to_str, word_to_str
-from .fiber import ModelMismatch, UnsupportedCycle, cycle_to_json
+from .words import braid_from_str, braid_to_str, word_to_str
+from .fiber import cycle_to_json
 from .pencil import (
     arc_labels,
     automorphism_from_json,
@@ -28,13 +31,11 @@ from .pencil import (
     enumerate_arcs,
     hurwitz_apply,
     in_gamma_detail,
-    load_pencil,
+    pencil_from_json,
     pencil_to_json,
 )
 from .transversal import (
-    CPoly,
     DeformedMorse,
-    LocalTransInstance,
     MorseModel,
     VerificationError,
     ball_grid,
@@ -51,7 +52,7 @@ from .transversal import (
     solve_w_residual,
     verify_deform_bounds,
 )
-from .transversal.morse import BLOCK_ENTRIES
+from .transversal.localtrans import BLOCK_ENTRIES
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
 
@@ -59,12 +60,8 @@ FD_SAMPLES, FD_SEED = 24, 7  # verify deform's gradient vs central differences
 
 
 def _numpy_default(obj):
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
+    if isinstance(obj, np.generic):  # numpy bool, integer and float scalars
+        return obj.item()
     raise TypeError("not JSON serializable: %r" % (obj,))
 
 
@@ -88,87 +85,65 @@ def _fail(message):
     return USAGE
 
 
-def cmd_pencil_validate(args):
-    try:
-        P = load_pencil(args.file)
-    except (OSError, ValueError) as e:
-        return _fail("invalid pencil file: %s" % e)
-    report = {"ok": True, "r": P.r, "fiber": pencil_to_json(P)["fiber"]}
-    if args.closed:
+def _read_json(path):
+    """The JSON document in a file; one nested past the decoder's recursion limit is bad input."""
+    with open(path) as fh:
         try:
-            closed = P.is_closed()
-        except UnsupportedCycle as e:
-            return _fail(str(e))
-        report["closed"] = closed
-        return _emit(report, args.out, OK if closed else CHECK_FAILED)
-    return _emit(report, args.out, OK)
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("%s: JSON nested too deeply to decode" % path) from None
+
+
+def cmd_pencil_validate(args):
+    P = pencil_from_json(_read_json(args.file))
+    report = {"ok": True, "r": P.r, "fiber": pencil_to_json(P)["fiber"]}
+    if not args.closed:
+        return report, True
+    report["closed"] = P.is_closed()
+    return report, report["closed"]
 
 
 def cmd_pencil_hurwitz(args):
-    try:
-        P = load_pencil(args.file)
-        b = braid_from_str(P.r, args.braid)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
-    try:
-        Q = hurwitz_apply(b, P)
-        preserved = Q.total_monodromy() == P.total_monodromy()
-    except (RankMismatch, ModelMismatch, UnsupportedCycle) as e:
-        return _fail(str(e))
-    report = dict(pencil_to_json(Q))
-    report["total_monodromy_preserved"] = preserved
-    return _emit(report, args.out, OK if preserved else CHECK_FAILED)
+    P = pencil_from_json(_read_json(args.file))
+    Q = hurwitz_apply(braid_from_str(P.r, args.braid), P)
+    report = pencil_to_json(Q)
+    report["total_monodromy_preserved"] = Q.total_monodromy() == P.total_monodromy()
+    return report, report["total_monodromy_preserved"]
 
 
 def cmd_pencil_matching(args):
-    try:
-        P = load_pencil(args.file)
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
+    P = pencil_from_json(_read_json(args.file))
     if args.max_len < 0:
-        return _fail("--max-len must be >= 0")
+        raise ValueError("--max-len must be >= 0")
     rows = []
-    try:
-        for a in enumerate_arcs(P, args.max_len):
-            eta1, eta2, s1, s2 = arc_labels(a, P)
-            cls = classify_labels(s1, s2, trust_algebraic=args.trust_algebraic)
-            rows.append(
-                {
-                    "base": a.base,
-                    "carrier": braid_to_str(a.carrier),
-                    "class": str(cls),
-                    "supporting_pair": [word_to_str(eta1.word()), word_to_str(eta2.word())],
-                    "labels": [cycle_to_json(s1), cycle_to_json(s2)],
-                }
-            )
-    except (RankMismatch, ModelMismatch, UnsupportedCycle) as e:
-        return _fail(str(e))
+    for a in enumerate_arcs(P, args.max_len):
+        eta1, eta2, s1, s2 = arc_labels(a, P)
+        cls = classify_labels(s1, s2, trust_algebraic=args.trust_algebraic)
+        rows.append(
+            {
+                "base": a.base,
+                "carrier": braid_to_str(a.carrier),
+                "class": str(cls),
+                "supporting_pair": [word_to_str(eta1.word()), word_to_str(eta2.word())],
+                "labels": [cycle_to_json(s1), cycle_to_json(s2)],
+            }
+        )
     rows.sort(key=lambda row: (row["base"], row["carrier"]))
-    return _emit({"r": P.r, "max_len": args.max_len, "arcs": rows}, args.out, OK)
+    return {"r": P.r, "max_len": args.max_len, "arcs": rows}, True
 
 
 def cmd_pencil_gamma_check(args):
-    try:
-        P = load_pencil(args.file)
-        with open(args.auto) as fh:
-            A = automorphism_from_json(P.fiber, P.r, json.load(fh))
-    except (OSError, ValueError) as e:
-        return _fail(str(e))
-    try:
-        ok, detail = in_gamma_detail(A, P)
-    except (RankMismatch, ModelMismatch, UnsupportedCycle) as e:
-        return _fail(str(e))
+    P = pencil_from_json(_read_json(args.file))
+    A = automorphism_from_json(P.fiber, P.r, _read_json(args.auto))
+    ok, detail = in_gamma_detail(A, P)
     report = {"in_gamma": ok}
     if not ok:
         report["violation"] = detail
-    return _emit(report, args.out, OK if ok else CHECK_FAILED)
+    return report, ok
 
 
 def cmd_verify_cutoff(args):
-    try:
-        profile = build_cutoff(args.k, args.D, args.c0)
-    except ValueError as e:
-        return _fail(str(e))
+    profile = build_cutoff(args.k, args.D, args.c0)
     slope = profile.slope_check()
     endpoint_flat = profile.value(profile.t_flat)
     endpoint_one = profile.value(profile.t_one)
@@ -194,34 +169,22 @@ def cmd_verify_cutoff(args):
         "blend": profile.blend,
         "ok": hard,
     }
-    return _emit(report, args.out, OK if hard else CHECK_FAILED)
+    return report, hard
 
 
 def cmd_verify_deform(args):
-    try:
-        profile = build_cutoff(args.k, args.D, args.c0)
-    except ValueError as e:
-        return _fail(str(e))
+    profile = build_cutoff(args.k, args.D, args.c0)
     if args.n < 1:
-        return _fail("--n must be a positive dimension")
+        raise ValueError("--n must be a positive dimension")
     if args.n**4 > BLOCK_ENTRIES:  # one grid row's jets must fit in a block
-        return _fail("--n %d is beyond desk scale: n^4 must be at most %d" % (args.n, BLOCK_ENTRIES))
+        raise ValueError("--n %d is beyond desk scale: n^4 must be at most %d" % (args.n, BLOCK_ENTRIES))
     model = MorseModel.quadratic(args.n, value=0.5)
     h = DeformedMorse(model, profile)
     report = verify_deform_bounds(h, deform_grid(model, profile))
     fd = _deform_fd_check(h, profile)
     hard = report["etaObserved"] > 0.0 and fd["max_rel_err"] < 1e-5
-    report.update(
-        {
-            "k": args.k,
-            "D": args.D,
-            "c0": args.c0,
-            "n": args.n,
-            "fd_check": fd,
-            "ok": hard,
-        }
-    )
-    return _emit(report, args.out, OK if hard else CHECK_FAILED)
+    report.update(k=args.k, D=args.D, c0=args.c0, n=args.n, fd_check=fd, ok=hard)
+    return report, hard
 
 
 def _deform_fd_check(h, profile):
@@ -240,13 +203,9 @@ def _deform_fd_check(h, profile):
 
 def cmd_verify_localtrans(args):
     if args.trials < 1:
-        return _fail("--trials must be positive")
+        raise ValueError("--trials must be positive")
     if args.seed < 0:
-        return _fail("--seed must be non-negative")
-    try:  # the instance's own parameter checks, on a probe instance
-        LocalTransInstance(CPoly(1, {}), CPoly(1, {}), args.kappa, args.delta, args.pexp)
-    except ValueError as e:
-        return _fail(str(e))
+        raise ValueError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     successes = 0
     area_ok = 0
@@ -254,9 +213,7 @@ def cmd_verify_localtrans(args):
     certs = []
     grid = ball_grid(1.1, 101, 1)
     for index in range(args.trials):
-        inst = random_instance(
-            rng, kappa=args.kappa, delta=args.delta, pexp=args.pexp
-        )
+        inst = random_instance(rng, kappa=args.kappa, delta=args.delta, pexp=args.pexp)
         residual = solve_w_residual(inst.p, inst.q, grid)
         worst_residual = max(worst_residual, residual)
         try:
@@ -295,14 +252,14 @@ def cmd_verify_localtrans(args):
         "certificates": certs,
         "ok": hard,
     }
-    return _emit(report, args.out, OK if hard else CHECK_FAILED)
+    return report, hard
 
 
 def cmd_verify_radial(args):
     if args.samples < 1:
-        return _fail("--samples must be positive")
+        raise ValueError("--samples must be positive")
     if args.seed < 0:
-        return _fail("--seed must be non-negative")
+        raise ValueError("--seed must be non-negative")
     rng = np.random.default_rng(args.seed)
     worst = {"jacobian_rel_err": 0.0, "det_rel_err": 0.0, "eig_rel_err": 0.0}
     bounds_ok = True
@@ -325,7 +282,7 @@ def cmd_verify_radial(args):
         "bounds_ok": bounds_ok,
         "ok": hard,
     }
-    return _emit(report, args.out, OK if hard else CHECK_FAILED)
+    return report, hard
 
 
 def build_parser():
@@ -341,45 +298,36 @@ def build_parser():
     v = psub.add_parser("validate", help="check a pencil file's invariants")
     v.add_argument("file")
     v.add_argument("--closed", action="store_true", help="also require total monodromy = identity")
-    v.add_argument("--out")
     v.set_defaults(func=cmd_pencil_validate)
 
     hw = psub.add_parser("hurwitz", help="apply a Hurwitz move")
     hw.add_argument("file")
     hw.add_argument("--braid", required=True, help='braid word, e.g. "s1 S2"')
-    hw.add_argument("--out")
     hw.set_defaults(func=cmd_pencil_hurwitz)
 
     mt = psub.add_parser("matching", help="enumerate and classify arcs")
     mt.add_argument("file")
     mt.add_argument("--max-len", type=int, required=True)
     mt.add_argument("--trust-algebraic", action="store_true")
-    mt.add_argument("--out")
     mt.set_defaults(func=cmd_pencil_matching)
 
     gc = psub.add_parser("gamma-check", help="test membership in the stabilizer")
     gc.add_argument("file")
     gc.add_argument("--auto", required=True, help="automorphism file")
-    gc.add_argument("--out")
     gc.set_defaults(func=cmd_pencil_gamma_check)
 
     verify = sub.add_parser("verify", help="numerical verification suites")
     vsub = verify.add_subparsers(dest="command", required=True)
 
     co = vsub.add_parser("cutoff", help="cutoff profile invariants")
-    co.add_argument("--k", type=float, required=True)
-    co.add_argument("--D", type=float, required=True)
-    co.add_argument("--c0", type=float, default=1.0)
-    co.add_argument("--out")
     co.set_defaults(func=cmd_verify_cutoff)
-
     de = vsub.add_parser("deform", help="deformed Morse function bounds")
-    de.add_argument("--k", type=float, required=True)
-    de.add_argument("--D", type=float, required=True)
-    de.add_argument("--c0", type=float, default=1.0)
-    de.add_argument("--n", type=int, default=2)
-    de.add_argument("--out")
     de.set_defaults(func=cmd_verify_deform)
+    for profile in (co, de):
+        profile.add_argument("--k", type=float, required=True)
+        profile.add_argument("--D", type=float, required=True)
+        profile.add_argument("--c0", type=float, default=1.0)
+    de.add_argument("--n", type=int, default=2)
 
     lt = vsub.add_parser("localtrans", help="symmetric local perturbation trials")
     lt.add_argument("--seed", type=int, required=True)
@@ -387,22 +335,26 @@ def build_parser():
     lt.add_argument("--kappa", type=float, default=0.2)
     lt.add_argument("--delta", type=float, default=0.1)
     lt.add_argument("--pexp", type=int, default=2)
-    lt.add_argument("--out")
     lt.set_defaults(func=cmd_verify_localtrans)
 
     ra = vsub.add_parser("radial", help="radial map linearization checks")
     ra.add_argument("--samples", type=int, required=True)
     ra.add_argument("--seed", type=int, default=0)
-    ra.add_argument("--out")
     ra.set_defaults(func=cmd_verify_radial)
 
+    for command in (*psub.choices.values(), *vsub.choices.values()):
+        command.add_argument("--out")
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        report, ok = args.func(args)
+    except (OSError, ValueError) as e:  # bad input: a file, a document, a constructor or a flag
+        return _fail(str(e))
+    # outside the try, so a report that JSON cannot encode stays a program fault
+    return _emit(report, args.out, OK if ok else CHECK_FAILED)
 
 
 if __name__ == "__main__":

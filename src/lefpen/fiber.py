@@ -163,7 +163,7 @@ class Cycle:
                 raise ValueError("cycle vector must be primitive: %r" % (vec,))
             self.vector = _normalize_sign(vec)
             self.word = self.support = None
-        elif model.kind == DISC:
+        else:  # DISC; FiberModel admits no other kind
             if isinstance(word, FreeWord):
                 if word.rank != model.punctures:
                     raise ValueError("disc cycle word over wrong puncture count")
@@ -181,8 +181,6 @@ class Cycle:
                 if _canonical_cyclic(pushed.letters) != self.word.letters:
                     raise ValueError("support presentation does not match the cycle word")
                 self.support = (carrier, (i, j))
-        else:
-            raise ValueError("unknown model")
 
     def __eq__(self, other):
         if not isinstance(other, Cycle) or self.model != other.model:
@@ -246,13 +244,11 @@ class FiberElement:
                 raise ValueError("matrix does not preserve the symplectic form")
             self.matrix = mat
             self.braid = None
-        elif model.kind == DISC:
+        else:  # DISC
             if braid.strands != model.punctures:
                 raise ValueError("braid strand count does not match puncture count")
             self.braid = braid
             self.matrix = None
-        else:
-            raise ValueError("unknown model")
 
     @classmethod
     def identity(cls, model):

@@ -35,7 +35,6 @@ case; see dual_singularity_braid.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import product
 
@@ -476,7 +475,3 @@ def automorphism_from_json(model, r, doc):
     g = element_from_json(model, doc["fiber_element"])
     return Automorphism(b, g)
 
-
-def load_pencil(path):
-    with open(path) as fh:
-        return pencil_from_json(json.load(fh))

@@ -30,7 +30,7 @@ MAX_DEGREE = 4  # of the random instances' p and q
 FD_STEP = 1e-7  # of the dw/dz spot check
 C = 4.0  # w0 keeps clear of the C sigma-neighborhood of the near-critical image
 REVERIFY_FACTOR = 2  # reverify's grid is about this many times finer
-BLOCK_ENTRIES = 1 << 16  # point-target differences per block of the distance search
+BLOCK_ENTRIES = 1 << 16  # array entries per block: point-target differences here, n^4 jets in morse
 
 
 class VerificationError(RuntimeError):

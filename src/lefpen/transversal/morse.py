@@ -29,10 +29,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .localtrans import eta_margin
+from .localtrans import BLOCK_ENTRIES, eta_margin
 
 CORE_RADII, OUTER_RADII = 24, 12  # deform_grid's radii on the flat core and where l = 1
-BLOCK_ENTRIES = 1 << 16  # n^4 scratch entries per block of a grid walk (_jet_blocks)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import lefpen
 from lefpen.cli import main
 
 
@@ -28,6 +29,14 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
 
 
 def test_validate_ok(capsys, torus4):
@@ -209,10 +218,7 @@ def test_verify_localtrans(capsys):
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert_one_error_line(capsys)
 
 
 GOOD_PENCIL = {"fiber": {"model": "torus"}, "cycles": [[1, 0], [0, 1]]}
@@ -263,27 +269,78 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, comman
     if command == "gamma-check":
         argv.append(str(auto_path))
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert_one_error_line(capsys)
+
+
+NESTED = "[" * 100000 + "]" * 100000  # past the decoder's recursion limit; json.dumps cannot build it
+
+
+def input_file(tmp_path, name, kind, good):
+    """A path of the given kind: a good document, a missing file, a directory or nested JSON."""
+    path = tmp_path / name
+    if kind == "good":
+        path.write_text(json.dumps(good))
+    elif kind == "directory":
+        path.mkdir()
+    elif kind == "nested":
+        path.write_text(NESTED)
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, pencil_kind, auto_kind",
+    [(command, "nested", "good") for command in PENCIL_COMMANDS]
+    + [
+        ("gamma-check", "good", "nested"),
+        ("validate", "missing", "good"),
+        ("validate", "directory", "good"),
+        ("gamma-check", "good", "missing"),
+    ],
+    ids=["%s-nested" % command for command in PENCIL_COMMANDS]
+    + ["gamma-check-auto-nested", "validate-missing", "validate-directory", "gamma-check-auto-missing"],
+)
+def test_unreadable_files_exit_2_with_one_error_line(capsys, tmp_path, command, pencil_kind, auto_kind):
+    pencil_path = input_file(tmp_path, "pencil.json", pencil_kind, GOOD_PENCIL)
+    auto_path = input_file(tmp_path, "auto.json", auto_kind, GOOD_AUTO)
+    argv = ["pencil", command, str(pencil_path)] + PENCIL_COMMANDS[command]
+    if command == "gamma-check":
+        argv.append(str(auto_path))
+    assert main(argv) == 2
+    line = assert_one_error_line(capsys)
+    assert str(auto_path if auto_kind != "good" else pencil_path) in line
 
 
 @pytest.mark.parametrize("command", ["pencil", "verify"])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
 def test_unwritable_out_exits_2_with_one_error_line(capsys, tmp_path, command, where):
     out = tmp_path / "missing" / "report.json" if where == "missing-directory" else tmp_path
-    if command == "pencil":
-        pencil_path = tmp_path / "pencil.json"
-        pencil_path.write_text(json.dumps(GOOD_PENCIL))
-        argv = ["pencil", "validate", str(pencil_path)]
-    else:
-        argv = ["verify", "radial", "--samples", "2"]
-    assert main(argv + ["--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ") and str(out) in lines[0]
+    pencil_path = input_file(tmp_path, "pencil.json", "good", GOOD_PENCIL)
+    auto_path = input_file(tmp_path, "auto.json", "good", GOOD_AUTO)
+    subcommands = {
+        "pencil": [
+            ["validate", str(pencil_path)],
+            ["hurwitz", str(pencil_path), "--braid", "s1"],
+            ["matching", str(pencil_path), "--max-len", "1"],
+            ["gamma-check", str(pencil_path), "--auto", str(auto_path)],
+        ],
+        "verify": [
+            ["cutoff", "--k", "10000", "--D", "1"],
+            ["deform", "--k", "1000", "--D", "1"],
+            ["localtrans", "--seed", "1", "--trials", "1"],
+            ["radial", "--samples", "2"],
+        ],
+    }[command]
+    for subcommand in subcommands:
+        assert main([command] + subcommand + ["--out", str(out)]) == 2
+        assert str(out) in assert_one_error_line(capsys)
+
+
+def test_unencodable_report_is_not_a_usage_error(monkeypatch, capsys):
+    # the report is encoded outside main's input boundary: a NaN is a program fault
+    monkeypatch.setattr("lefpen.cli.cmd_verify_radial", lambda args: ({"x": float("nan")}, True))
+    with pytest.raises(ValueError):
+        main(["verify", "radial", "--samples", "1"])
+    assert capsys.readouterr().out == ""
 
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
@@ -323,10 +380,13 @@ def test_reports_byte_identical(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the subprocess imports the lefpen under test, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lefpen.__file__)))
     proc = subprocess.run(
         [sys.executable, "-m", "lefpen.cli", "verify", "radial", "--samples", "5"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"]
