@@ -124,18 +124,46 @@ def _normalize_sign(vec):
     return vec
 
 
+def _least_rotation(s):
+    """The lexicographically least rotation of the list s, by Booth's
+    algorithm in O(len(s))."""
+    n = len(s)
+    ss = s + s
+    fail = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        c = ss[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ss[k + i + 1]:
+            if c < ss[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != ss[k + i + 1]:  # so i == -1
+            if c < ss[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return s[k:] + s[:k]
+
+
 def _canonical_cyclic(letters):
-    """Lexicographically least rotation of a cyclically reduced word or its inverse."""
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        letters = letters[1:-1]
-    if not letters:
+    """Lexicographically least rotation of a cyclically reduced word or its
+    inverse, letters ordered x1 < X1 < x2 < X2 < ...
+
+    Each letter l is coded once as 2|l| + (l < 0), which has that order;
+    inverting a letter flips the low bit of its code.
+    """
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+        lo += 1
+        hi -= 1
+    if lo == hi:
         return ()
-    key = lambda l: (abs(l), 0 if l > 0 else 1)
-    candidates = []
-    for w in (letters, tuple(-l for l in reversed(letters))):
-        for i in range(len(w)):
-            candidates.append(w[i:] + w[:i])
-    return min(candidates, key=lambda w: tuple(key(l) for l in w))
+    code = [2 * abs(l) + (l < 0) for l in letters[lo:hi]]
+    inverse = [v ^ 1 for v in reversed(code)]
+    best = min(_least_rotation(code), _least_rotation(inverse))
+    return tuple(-(v >> 1) if v & 1 else v >> 1 for v in best)
 
 
 class Cycle:

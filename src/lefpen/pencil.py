@@ -36,7 +36,6 @@ case; see dual_singularity_braid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .words import (
     Arc,
@@ -362,23 +361,49 @@ def arc_key(a):
 
 
 def _carrier_words(r, max_len):
-    gens = []
-    for i in range(1, r):
-        gens.append(i)
-        gens.append(-i)
+    """Carrier braids of length <= max_len in normal form, in length, then
+    product order over the letters s1 S1 s2 S2 ...
+
+    Each level extends the words kept at the level before, so a word comes
+    out only if all its prefixes did.  Two kinds of word are skipped, each
+    the same braid as a word that comes earlier: one whose last letter
+    cancels the letter before it (it reduces to a shorter word), and one
+    whose last two letters are s_i^±, s_j^± with i - j >= 2 (they commute,
+    and the swapped word comes first in product order).
+    """
+    gens = [l for i in range(1, r) for l in (i, -i)]
+    level = [()]
     for length in range(max_len + 1):
-        for word in product(gens, repeat=length):
+        for word in level:
             yield Braid(r, word)
+        if length < max_len:
+            level = [
+                w + (l,)
+                for w in level
+                for l in gens
+                if not w or (l != -w[-1] and abs(w[-1]) - abs(l) < 2)
+            ]
 
 
 def enumerate_arcs(P, max_carrier_len):
-    """All arcs with carrier word length <= L, deduplicated by supporting pair."""
+    """All arcs with carrier word length <= L, deduplicated by supporting pair.
+
+    Each arc is the first, in carrier order (see _carrier_words), to reach
+    its key.  Besides the carriers that _carrier_words skips (those not
+    freely reduced or ending in a far-commuting pair out of order), an arc on
+    base b whose carrier ends in s_j^± with |j - b| >= 2 is skipped: that
+    letter fixes x_b and x_{b+1}, so the arc has the supporting pair of
+    the carrier without it.  Skipping is by word only, never by key.
+    """
     if max_carrier_len < 0:
         raise ValueError("carrier length bound must be >= 0")
     seen = set()
     out = []
     for carrier in _carrier_words(P.r, max_carrier_len):
+        last = abs(carrier.letters[-1]) if carrier.letters else None
         for base in range(1, P.r):
+            if last is not None and abs(last - base) >= 2:
+                continue
             a = Arc(base, carrier)
             key = arc_key(a)
             if key not in seen:

@@ -11,7 +11,7 @@ import json
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lefpen.words import Arc, Braid, FreeWord
@@ -19,6 +19,7 @@ from lefpen.fiber import (
     Cycle,
     FiberElement,
     FiberModel,
+    _canonical_cyclic,
     act,
     base_half_twist,
     dehn_twist,
@@ -179,6 +180,21 @@ def pairing_loop_symplectic(mat):
     return True
 
 
+def rotation_search_canonical_cyclic(letters):
+    """Reference: the least of all rotations of the cyclically reduced word
+    and of its inverse, letter by letter under (|l|, l < 0)."""
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        letters = letters[1:-1]
+    if not letters:
+        return ()
+    key = lambda l: (abs(l), 0 if l > 0 else 1)
+    candidates = []
+    for w in (letters, tuple(-l for l in reversed(letters))):
+        for i in range(len(w)):
+            candidates.append(w[i:] + w[:i])
+    return min(candidates, key=lambda w: tuple(key(l) for l in w))
+
+
 @st.composite
 def any_cycles(draw, model):
     """cycles(model), or in the disc model also an essential word with no
@@ -247,3 +263,18 @@ def test_symplectic_check_matches_pairing_loop(data):
     else:
         with pytest.raises(ValueError, match="matrix does not preserve the symplectic form"):
             FiberElement(model, matrix=mat)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.integers(-4, 4).filter(bool), max_size=12),
+    st.integers(1, 4),
+    st.lists(st.integers(-4, 4).filter(bool), max_size=3),
+)
+@example([], 1, [])
+@example([1, -2], 3, [2])
+def test_booth_canonical_cyclic_matches_rotation_search(word, power, ends):
+    """Random words, their powers w^k, words with cancelling ends
+    e w^k e^(-1), and the empty word."""
+    letters = tuple(ends) + tuple(word) * power + tuple(-l for l in reversed(ends))
+    assert _canonical_cyclic(letters) == rotation_search_canonical_cyclic(letters)

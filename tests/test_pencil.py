@@ -1,4 +1,6 @@
 import random
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -23,6 +25,7 @@ from lefpen.pencil import (
     Automorphism,
     HypothesisError,
     Pencil,
+    _carrier_words,
     arc_key,
     automorphism_from_arc,
     automorphism_from_json,
@@ -358,6 +361,104 @@ def test_enumerate_arcs_dedup_and_base_case():
     # present the same arcs as the first-found representatives
     assert arc_key(Arc(1, Braid(4, (-2,)))) in keys
     assert arc_key(Arc(2, Braid(4, (-3,)))) in keys
+
+
+@lru_cache(maxsize=None)
+def product_order_arcs(r, max_len):
+    """Reference: every arc (base, carrier letters, key) of every carrier
+    word of length <= max_len, in length, then product order over
+    s1 S1 s2 S2 ..., as the enumerator tried them before it skipped any."""
+    gens = [l for i in range(1, r) for l in (i, -i)]
+    return tuple(
+        (base, word, arc_key(Arc(base, Braid(r, word))))
+        for length in range(max_len + 1)
+        for word in product(gens, repeat=length)
+        for base in range(1, r)
+    )
+
+
+def first_arcs_by_key(r, max_len):
+    seen, out = set(), []
+    for base, word, key in product_order_arcs(r, max_len):
+        if key not in seen:
+            seen.add(key)
+            out.append((base, word))
+    return out
+
+
+SP2 = FiberModel.sp(2)
+DISC4 = FiberModel.disc(4)
+
+
+@pytest.mark.parametrize(
+    "P, max_len",
+    [
+        pytest.param(Pencil(T, ((A, B) * 3)[:r]), L, id="torus-r%d-L%d" % (r, L))
+        for r, L in [(3, 4), (4, 4), (5, 3)]
+    ]
+    + [
+        pytest.param(
+            Pencil(SP2, [Cycle(SP2, vector=v) for v in [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)] * 2]),
+            3,
+            id="sp2-r6-L3",
+        ),
+        pytest.param(
+            Pencil(DISC4, [standard_curve(DISC4, i, i + 1) for i in (1, 2, 3, 1)]),
+            2,
+            id="disc4-r4-L2",
+        ),
+    ],
+)
+def test_enumerate_arcs_matches_product_order_reference(P, max_len):
+    # arcs of shorter carriers come first, so this covers every L <= max_len
+    got = [(a.base, a.carrier.letters) for a in enumerate_arcs(P, max_len)]
+    assert got == first_arcs_by_key(P.r, max_len)
+
+
+# Rows of a `pencil matching` report: distinct supporting pairs, which
+# depend on (r, L) alone.
+MATCHING_ROWS = {(3, 2): 19, (4, 2): 38, (4, 3): 110, (4, 4): 320, (5, 3): 188, (6, 3): 266, (4, 5): 937}
+
+
+@pytest.mark.parametrize("r, max_len", sorted(MATCHING_ROWS))
+def test_matching_row_counts(r, max_len):
+    P = Pencil(T, ((A, B) * 3)[:r])
+    assert len(enumerate_arcs(P, max_len)) == MATCHING_ROWS[r, max_len]
+
+
+SKIP_RULES = {
+    "not freely reduced": lambda base, w: any(x == -y for x, y in zip(w, w[1:])),
+    "far-commuting pair out of order": lambda base, w: any(abs(x) - abs(y) >= 2 for x, y in zip(w, w[1:])),
+    "last letter far from the base": lambda base, w: bool(w) and abs(abs(w[-1]) - base) >= 2,
+}
+
+
+@pytest.mark.parametrize("rule", sorted(SKIP_RULES))
+def test_each_skip_rule_drops_only_keys_reached_earlier(rule):
+    drops = SKIP_RULES[rule]
+    earlier, current, word_of_current = set(), set(), None
+    dropped = 0
+    for base, word, key in product_order_arcs(4, 4):
+        if word != word_of_current:
+            earlier |= current
+            current, word_of_current = set(), word
+        current.add(key)
+        if drops(base, word):
+            dropped += 1
+            assert key in earlier, (rule, base, word)
+    assert dropped > 0
+
+
+def test_carrier_words_are_normal_and_prefix_closed():
+    words = [b.letters for b in _carrier_words(4, 5)]
+    assert len(words) == 2583
+    assert sum(len(w) == 5 for w in words) == 1974
+    assert len(set(words)) == len(words)
+    for w in words:
+        for x, y in zip(w, w[1:]):
+            assert x != -y and abs(x) - abs(y) < 2, w
+    yielded = set(words)
+    assert all(w[:-1] in yielded for w in words if w)
 
 
 def test_empty_pencil_and_r1():
