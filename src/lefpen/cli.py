@@ -223,6 +223,11 @@ def cmd_verify_localtrans(args):
         except VerificationError as e:
             certs.append({"instance": index, "ok": False, "reason": str(e)})
             continue
+        except ValueError as e:  # q has sup 1 - kappa on the sampled grid only
+            raise ValueError(
+                "instance %d: %s, where q was scaled to a sampled sup of 1 - kappa = %r (kappa = %r) on %d points"
+                % (index, e, 1.0 - args.kappa, args.kappa, grid.size)
+            ) from None
         successes += 1
         area_ok += int(cert.area_claim_ok)
         certs.append(

@@ -16,6 +16,17 @@ sigma = delta (log(1/delta))^(-p) with w0 constrained to |w0| < delta.
 Everything here is desk scale: tensor grids, a numpy labelling of the
 clear region's components in the w-disc, and an independent
 re-verification of every certificate on a finer grid.
+
+The w-disc never forms its all-pairs distance to the near-critical
+image.  A bucket grid of CELLS x CELLS square cells over the disc's
+points bounds each point's nearest distance by d - h and d + h, with d
+the nearest distance of its cell's centre and h the cell's
+half-diagonal.  Every bound is widened by the relative SLACK, so float
+rounding cannot exclude a target or a cell.  Two queries read the
+bounds: which points have an image within C sigma (only undecided cells
+compare their points), and which main-component point is farthest
+(exact distances only where a cell's upper bound reaches the best lower
+bound).  Both give the bits the all-pairs distance would.
 """
 
 from __future__ import annotations
@@ -31,6 +42,8 @@ FD_STEP = 1e-7  # of the dw/dz spot check
 C = 4.0  # w0 keeps clear of the C sigma-neighborhood of the near-critical image
 REVERIFY_FACTOR = 2  # reverify's grid is about this many times finer
 BLOCK_ENTRIES = 1 << 16  # array entries per block: point-target differences here, n^4 jets in morse
+CELLS = 16  # cells per side of the bucket grid over the w-disc points
+SLACK = 1e-9  # relative widening of every cell bound, far above float rounding
 
 
 class VerificationError(RuntimeError):
@@ -214,7 +227,8 @@ def _graph(p, q, z):
     pv, qv = p(z), q(z)
     qabs = np.abs(qv)
     if np.any(qabs >= 1.0):
-        raise ValueError("|q| >= 1 somewhere; the graph equation degenerates")
+        qmax = float(np.max(qabs))
+        raise ValueError("the graph equation degenerates: max |q| = %r >= 1 on %d points" % (qmax, z.size))
     w = (pv - np.conj(pv) * qv) / (1.0 - qabs**2)
     return w, float(np.max(np.abs(pv - w - np.conj(w) * qv), initial=0.0))
 
@@ -349,10 +363,89 @@ def _nearest_distance(points, targets):
     return dist
 
 
+def _buckets(points):
+    """Square cells over the points: (cell of each point, centre and
+    half-diagonal of each occupied cell).  The half-diagonal is the largest
+    |point - centre| in the cell, widened by SLACK, so it bounds the exact
+    distance however the points were rounded into cells."""
+    x, y = points.real, points.imag
+    side = max(np.ptp(x), np.ptp(y)) / CELLS or 1.0
+    ix = np.minimum(((x - x.min()) / side).astype(np.intp), CELLS - 1)
+    iy = np.minimum(((y - y.min()) / side).astype(np.intp), CELLS - 1)
+    raw = ix * CELLS + iy
+    counts = np.bincount(raw, minlength=CELLS * CELLS)
+    occupied = np.flatnonzero(counts)
+    cell = (np.cumsum(counts > 0) - 1)[raw]
+    centres = x.min() + (occupied // CELLS + 0.5) * side + 1j * (y.min() + (occupied % CELLS + 0.5) * side)
+    half = np.zeros(occupied.size)
+    np.maximum.at(half, cell, np.abs(points - centres[cell]))
+    return cell, centres, half * (1.0 + SLACK)
+
+
+def _clear(points, targets, radius):
+    """The points with no target within the radius: the same bits as
+    _nearest_distance(points, targets) > radius, without the all-pairs distance.
+
+    With d = min |centre - target| per cell and h its half-diagonal, a cell
+    with d <= radius - h is blocked whole and one with d > radius + h is
+    clear whole (each bound widened by SLACK).  Only the cells in between
+    compare their points, with the same float expression, against the
+    targets within radius + h of their centre.
+    """
+    if not points.size:
+        return np.ones(0, dtype=bool)
+    cell, centres, half = _buckets(points)
+    near = _nearest_distance(centres, targets)
+    blocked = near <= radius * (1.0 - SLACK) - half
+    reach = (radius + half) * (1.0 + SLACK)
+    hit = blocked[cell]
+    todo = np.flatnonzero(~blocked & (near <= reach))
+    if todo.size:
+        order = np.argsort(cell, kind="stable")  # the points of cell k are order[starts[k] : starts[k] + counts[k]]
+        counts = np.bincount(cell, minlength=centres.size)
+        starts = np.cumsum(counts) - counts
+        cols = max(1, BLOCK_ENTRIES // todo.size)
+        per = max(1, BLOCK_ENTRIES // int(counts.max()))
+        for lo in range(0, targets.size, cols):
+            ci, ti = np.nonzero(np.abs(centres[todo, None] - targets[None, lo : lo + cols]) <= reach[todo, None])
+            for k in range(0, ci.size, per):  # each (cell, target) pair against every point of the cell
+                c, t = todo[ci[k : k + per]], lo + ti[k : k + per]
+                n = counts[c]
+                idx = order[np.repeat(starts[c] - np.cumsum(n) + n, n) + np.arange(n.sum())]
+                hit[idx[np.abs(points[idx] - np.repeat(targets[t], n)) <= radius]] = True
+    return ~hit
+
+
+def _farthest(points, targets):
+    """The index of the first maximum of _nearest_distance(points, targets).
+
+    Each cell bounds its points' distances by d +- h, as in _clear.  The
+    exact distance is computed only in the cells whose upper bound reaches
+    the best lower bound; every tied maximum lies there, and a minimum over
+    all targets is the same float, so the first index wins, as in the
+    all-pairs argmax.
+    """
+    cell, centres, half = _buckets(points)
+    near = _nearest_distance(centres, targets)
+    low = near * (1.0 - SLACK) - half
+    high = (near + half) * (1.0 + SLACK)
+    keep = np.flatnonzero((high >= np.max(low))[cell])
+    return int(keep[np.argmax(_nearest_distance(points[keep], targets))])
+
+
 def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     """One pass at the given grids: a TransversalityCertificate, or a dict
     saying why none was found.  Raises VerificationError when the graph
-    residual exceeds 1e-10."""
+    residual exceeds 1e-10.
+
+    A w-disc point is free when no near-critical image lies within
+    C sigma: _clear blocks a cell whole at d <= C sigma - h, clears it
+    whole at d > C sigma + h, and otherwise compares each of its points
+    with |w - image| <= C sigma against the images within C sigma + h.
+    w0 is the first farthest point of the main component: _farthest
+    computes exact distances only in the cells with d + h at least the
+    best d - h.  Each bound is widened by the relative SLACK.
+    """
     sigma = inst.sigma
     dp, dq = inst.p.deriv(), inst.q.deriv()
 
@@ -367,9 +460,9 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     wr, wi = np.meshgrid(axis, axis, indexing="ij")
     w_flat = (wr + 1j * wi).ravel()
     in_disc = np.abs(w_flat) <= inst.delta
-    dist = np.full(w_flat.shape, np.inf)
-    dist[in_disc] = _nearest_distance(w_flat[in_disc], bad_images)
-    free = (in_disc & (dist > C * sigma)).reshape(w_resolution, w_resolution)
+    free = np.zeros(w_flat.shape, dtype=bool)
+    free[in_disc] = _clear(w_flat[in_disc], bad_images, C * sigma)
+    free = free.reshape(w_resolution, w_resolution)
 
     labels, count = _label_components(free)
     if count == 0:
@@ -377,7 +470,8 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     sizes = np.bincount(labels[free], minlength=count)
     main = int(np.argmax(sizes))
     clearance_area = float(sizes[main] * (axis[1] - axis[0]) ** 2)
-    w0 = complex(w_flat[int(np.argmax(np.where((labels == main).ravel(), dist, -np.inf)))])
+    main_points = w_flat[(labels == main).ravel()]
+    w0 = complex(main_points[_farthest(main_points, bad_images)])
 
     zv = ball_grid(1.0, verify_resolution, 1)
     s = np.abs(inst.p(zv) - w0 - np.conj(w0) * inst.q(zv))

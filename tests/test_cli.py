@@ -190,6 +190,7 @@ def test_verify_localtrans(capsys):
         ["verify", "cutoff", "--k", "1e-100", "--D", "2e-99", "--c0", "5e-46"],
         ["verify", "deform", "--k", "1000", "--D", "1", "--n", "17"],
         ["verify", "deform", "--k", "1000", "--D", "1", "--n", "1000000"],
+        ["verify", "localtrans", "--seed", "1", "--trials", "3", "--kappa", "1e-3"],
     ],
     ids=[
         "cutoff-k-nan",
@@ -214,11 +215,22 @@ def test_verify_localtrans(capsys):
         "cutoff-eps-negative-overflow",
         "deform-n-beyond-block",
         "deform-n-huge",
+        "localtrans-kappa-degenerate-graph",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
     assert main(argv) == 2
     assert_one_error_line(capsys)
+
+
+def test_degenerate_graph_line_names_kappa(capsys):
+    # q is scaled to sup 1 - kappa on the 101 grid's 7845 points; the 201 graph grid sees more
+    assert main(["verify", "localtrans", "--seed", "1", "--trials", "3", "--kappa", "1e-3"]) == 2
+    line = assert_one_error_line(capsys)
+    assert line.startswith("error: instance 0: the graph equation degenerates: max |q| = 1.00")
+    assert line.endswith(
+        ">= 1 on 31417 points, where q was scaled to a sampled sup of 1 - kappa = 0.999 (kappa = 0.001) on 7845 points"
+    )
 
 
 GOOD_PENCIL = {"fiber": {"model": "torus"}, "cycles": [[1, 0], [0, 1]]}
@@ -347,20 +359,26 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 @pytest.mark.parametrize(
-    "argv, golden",
+    "argv, golden, code",
     [
-        (["verify", "cutoff", "--k", "10000", "--D", "1"], "verify_cutoff_k10000_D1.json"),
-        (["verify", "deform", "--k", "1000", "--D", "1"], "verify_deform_k1000_D1.json"),
-        (["verify", "deform", "--k", "1000", "--D", "1", "--n", "1"], "verify_deform_k1000_D1_n1.json"),
-        (["verify", "deform", "--k", "1000", "--D", "1", "--n", "3"], "verify_deform_k1000_D1_n3.json"),
-        (["verify", "radial", "--samples", "50", "--seed", "3"], "verify_radial_samples50_seed3.json"),
-        (["verify", "localtrans", "--seed", "1", "--trials", "4"], "verify_localtrans_seed1_trials4.json"),
+        (["verify", "cutoff", "--k", "10000", "--D", "1"], "verify_cutoff_k10000_D1.json", 0),
+        (["verify", "deform", "--k", "1000", "--D", "1"], "verify_deform_k1000_D1.json", 0),
+        (["verify", "deform", "--k", "1000", "--D", "1", "--n", "1"], "verify_deform_k1000_D1_n1.json", 0),
+        (["verify", "deform", "--k", "1000", "--D", "1", "--n", "3"], "verify_deform_k1000_D1_n3.json", 0),
+        (["verify", "radial", "--samples", "50", "--seed", "3"], "verify_radial_samples50_seed3.json", 0),
+        (["verify", "localtrans", "--seed", "1", "--trials", "4"], "verify_localtrans_seed1_trials4.json", 0),
+        # a bad set of 118,690 images on the refined graph grid; no clear region, so the check fails
+        (
+            ["verify", "localtrans", "--seed", "0", "--trials", "1", "--delta", "0.45", "--pexp", "1"],
+            "verify_localtrans_seed0_delta045_pexp1.json",
+            1,
+        ),
     ],
-    ids=["cutoff", "deform", "deform-n1", "deform-n3", "radial", "localtrans"],
+    ids=["cutoff", "deform", "deform-n1", "deform-n3", "radial", "localtrans", "localtrans-large-bad-set"],
 )
-def test_numerical_reports_match_golden(capsys, argv, golden):
+def test_numerical_reports_match_golden(capsys, argv, golden, code):
     # the golden files hold the reports of an earlier release, byte for byte
-    assert main(argv) == 0
+    assert main(argv) == code
     with open(os.path.join(DATA, golden)) as fh:
         assert capsys.readouterr().out == fh.read()
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,3 +301,140 @@ def test_nearest_distance_blocks_match_one_block():
         targets = rng.normal(size=n) + 1j * rng.normal(size=n)
         whole = np.min(np.abs(points[:, None] - targets[None, :]), axis=1, initial=np.inf)
         assert np.array_equal(localtrans._nearest_distance(points, targets), whole)
+
+
+# _clear and _farthest against the all-pairs distance
+def _disc_points(res, delta=0.1):
+    axis = np.linspace(-delta, delta, res)
+    w = (axis[:, None] + 1j * axis[None, :]).ravel()
+    return w[np.abs(w) <= delta]
+
+
+def _assert_matches_all_pairs(points, targets, radius):
+    dist = localtrans._nearest_distance(points, targets)
+    assert np.array_equal(localtrans._clear(points, targets, radius), dist > radius)
+    assert localtrans._farthest(points, targets) == int(np.argmax(dist))
+
+
+def _rim_targets(points, radius):
+    # per cell, a target on the line through the centre and its farthest
+    # point, at radius - h and at radius + h from the centre: the exact
+    # distance to that point is the radius, so rounding decides both sides
+    cell, centres, half = localtrans._buckets(points)
+    far = np.zeros(centres.size, dtype=int)
+    off = np.abs(points - centres[cell])
+    for k in range(centres.size):
+        members = np.flatnonzero(cell == k)
+        far[k] = members[np.argmax(off[members])]
+    h = off[far]
+    unit = (points[far] - centres) / np.where(h > 0, h, 1.0)
+    return np.concatenate([centres - (radius - h) * unit, centres + (radius + h) * unit])
+
+
+def test_clear_and_farthest_empty_bad_set():
+    points = _disc_points(41)
+    assert localtrans._clear(points, np.zeros(0, dtype=complex), 0.01).all()
+    assert localtrans._farthest(points, np.zeros(0, dtype=complex)) == 0  # the first main-component cell
+
+
+def test_clear_and_farthest_one_and_far_targets():
+    rng = np.random.default_rng(5)
+    points = _disc_points(61)
+    for scale in (0.05, 1.0, 100.0):  # inside the disc, around it, far outside
+        for n in (1, 7):
+            targets = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            for radius in (0.001, 0.03, 0.3, 300.0):
+                _assert_matches_all_pairs(points, targets, radius)
+
+
+def test_clear_targets_exactly_at_the_radius():
+    # the radius is the float distance of a chosen point: it is not clear
+    rng = np.random.default_rng(6)
+    points = _disc_points(81)
+    for _ in range(40):
+        targets = 0.1 * (rng.normal(size=3) + 1j * rng.normal(size=3))
+        radius = float(np.abs(points[rng.integers(points.size)] - targets[0]))
+        _assert_matches_all_pairs(points, targets, radius)
+
+
+def test_clear_rim_targets_decided_by_rounding():
+    rng = np.random.default_rng(7)
+    for res, delta in ((61, 0.1), (101, 0.37), (41, 3.0)):
+        points = _disc_points(res, delta)
+        for _ in range(8):
+            radius = float(rng.uniform(0.05, 0.6)) * delta
+            _assert_matches_all_pairs(points, _rim_targets(points, radius), radius)
+
+
+def test_farthest_tied_maxima_take_the_first_index():
+    # an exact binary grid symmetric under both reflections, and targets
+    # duplicated and mirrored, so the largest distance is tied
+    axis = np.arange(-32, 33) / 64.0
+    points = (axis[:, None] + 1j * axis[None, :]).ravel()
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        t = (rng.integers(-40, 41, size=3) + 1j * rng.integers(-40, 41, size=3)) / 128.0
+        targets = np.concatenate([t, t, np.conj(t), -t, -np.conj(t)])
+        dist = localtrans._nearest_distance(points, targets)
+        assert np.sum(dist == dist.max()) > 1
+        _assert_matches_all_pairs(points, targets, float(np.median(dist)))
+
+
+def test_clear_points_on_cell_edges():
+    # 4 CELLS + 1 exact binary points per side: every fourth grid line is a cell edge
+    side = 4 * localtrans.CELLS
+    axis = np.arange(side + 1) / side
+    points = (axis[:, None] + 1j * axis[None, :]).ravel()
+    rng = np.random.default_rng(9)
+    for radius in (1 / side, 2 / side, 0.25):
+        # on grid lines, some outside the square
+        targets = (np.round(rng.uniform(-0.5, 1.5, size=20) * side) + 1j * rng.integers(0, side + 1, size=20)) / side
+        _assert_matches_all_pairs(points, targets, radius)
+        _assert_matches_all_pairs(points, _rim_targets(points, radius), radius)
+
+
+def test_clear_and_farthest_bad_set_beyond_one_block():
+    rng = np.random.default_rng(10)
+    points = _disc_points(41)
+    n = localtrans.BLOCK_ENTRIES + 123
+    targets = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+    targets = targets[np.abs(targets) > 0.04]  # leave a clear hole around the centre
+    for radius in (0.001, 0.01):
+        _assert_matches_all_pairs(points, targets, radius)
+
+
+def test_clear_and_farthest_on_instance_bad_sets():
+    # the w-disc and near-critical images of seeded instances, as _attempt forms them
+    rng = np.random.default_rng(11)
+    for delta in (0.1, 0.2):
+        for _ in range(3):
+            inst = random_instance(rng, delta=delta)
+            z = ball_grid(1.1, 201, 1)
+            w, _ = localtrans._graph(inst.p, inst.q, z)
+            l = np.abs(inst.p.deriv()(z) - np.conj(w) * inst.q.deriv()(z))
+            radius = localtrans.C * inst.sigma
+            _assert_matches_all_pairs(_disc_points(201, delta), w[l <= radius], radius)
+
+
+@given(
+    res=st.integers(3, 40),
+    targets=arrays(complex, st.integers(0, 30), elements=st.complex_numbers(max_magnitude=2.0, allow_nan=False)),
+    radius=st.floats(0.0, 3.0),
+)
+def test_clear_and_farthest_match_all_pairs(res, targets, radius):
+    _assert_matches_all_pairs(_disc_points(res, 1.0), targets, radius)
+
+
+def test_find_good_w0_memory_stays_blocked():
+    # 118,690 near-critical images on the refined grid: every cells x targets
+    # and pair array is cut into BLOCK_ENTRIES blocks, so the traced peak
+    # stays near the grids' own size; one unblocked array would take GBs
+    inst = random_instance(np.random.default_rng(0), delta=0.45, pexp=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(VerificationError):
+            find_good_w0(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
