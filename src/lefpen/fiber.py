@@ -21,7 +21,8 @@ words up to rotation and inversion.
 Input is validated only by the public ``Cycle``/``FiberElement``
 constructors and the JSON loaders built on them.  The algebra's results
 (products, inverses, twists, ``act``) are valid by construction and are
-built through ``_new`` without checks.
+built without checks through ``words._new``, the one unchecked constructor
+of the exact layer.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numbers
 from dataclasses import dataclass
 from math import gcd
 
-from .words import Braid, FreeWord, artin_apply, braid_from_str, half_twist, word_from_str, word_to_str
+from .words import Braid, FreeWord, _new, artin_apply, braid_from_str, half_twist, word_from_str, word_to_str
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -105,14 +106,6 @@ def _integers(values, what):
         if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
             raise ValueError("%s must be an integer, got %r" % (what, x))
     return tuple(map(int, values))
-
-
-def _new(cls, **fields):
-    """An instance of cls with its slots set from fields, checks skipped."""
-    obj = object.__new__(cls)
-    for name in cls.__slots__:
-        setattr(obj, name, fields.get(name))
-    return obj
 
 
 def _normalize_sign(vec):
@@ -227,7 +220,7 @@ class Cycle:
 def _disc_fields(n, letters, support):
     """(canonical word, presentation) of the disc cycle of a freely reduced
     word; a round range word presents itself when none is given."""
-    word = FreeWord(n, _canonical_cyclic(letters))
+    word = _new(FreeWord, rank=n, letters=_canonical_cyclic(letters))
     rng = _as_range(word.letters) if support is None else None
     return word, (Braid.identity(n), rng) if rng else support
 
@@ -364,7 +357,7 @@ def full_twist(n, i, j):
     """Full twist on strands i..j of B_n: (s_i .. s_{j-1})^(j-i+1)."""
     if not 1 <= i <= j <= n:
         raise ValueError("bad strand range %d..%d" % (i, j))
-    ring = Braid(n, tuple(range(i, j)))
+    ring = _new(Braid, strands=n, letters=tuple(range(i, j)))
     return ring ** (j - i + 1)
 
 

@@ -42,6 +42,7 @@ from .words import (
     Braid,
     FreeWord,
     RankMismatch,
+    _new,
     artin_apply,
     braid_from_str,
     braid_to_str,
@@ -58,7 +59,6 @@ from .fiber import (
     FiberElement,
     ModelMismatch,
     _as_range,
-    _new,
     act,
     base_half_twist,
     cycle_eq,
@@ -119,7 +119,7 @@ class Pencil:
         return self._twists[l]
 
     def total_monodromy(self):
-        return monodromy_of(self, FreeWord(self.r, tuple(range(1, self.r + 1))))
+        return monodromy_of(self, _new(FreeWord, rank=self.r, letters=tuple(range(1, self.r + 1))))
 
     def is_closed(self):
         return self.total_monodromy() == FiberElement.identity(self.fiber)
@@ -375,7 +375,7 @@ def _carrier_words(r, max_len):
     level = [()]
     for length in range(max_len + 1):
         for word in level:
-            yield Braid(r, word)
+            yield _new(Braid, strands=r, letters=word)
         if length < max_len:
             level = [
                 w + (l,)

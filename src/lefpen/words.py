@@ -23,8 +23,12 @@ supporting pairs, Hurwitz rules) are anchored to this convention.  The
 product ``x_1 x_2 .. x_r`` is fixed by every braid.
 
 Serialization: braid words are space-separated tokens ``s<i>`` / ``S<i>``
-(inverse), free words ``x<i>`` / ``X<i>``.  The empty word serializes to
-the empty string.
+(inverse), free words ``x<i>`` / ``X<i>``, ``<i>`` in ASCII digits.  The
+empty word serializes to the empty string.
+
+Only the public ``FreeWord``/``Braid`` constructors and ``*_from_str`` check
+input.  Words the algebra derives are reduced and in range by construction
+and are built by ``_new``, the exact layer's one unchecked constructor.
 """
 
 from __future__ import annotations
@@ -47,6 +51,14 @@ def _reduce(letters):
     return tuple(out)
 
 
+def _new(cls, **fields):
+    """An instance of cls with its slots set from fields, checks skipped."""
+    obj = object.__new__(cls)
+    for name in cls.__slots__:
+        setattr(obj, name, fields.get(name))
+    return obj
+
+
 def _check_letters(letters, bound, what):
     for l in letters:
         if not isinstance(l, int) or l == 0 or abs(l) > bound:
@@ -59,7 +71,7 @@ class FreeWord:
     Instances are immutable; every constructor reduces its input.
     """
 
-    __slots__ = ("rank", "letters", "_hash")
+    __slots__ = ("rank", "letters")
 
     def __init__(self, rank, letters=()):
         if rank < 1:
@@ -68,7 +80,6 @@ class FreeWord:
         _check_letters(letters, rank, "free word")
         self.rank = rank
         self.letters = letters
-        self._hash = hash((rank, letters))
 
     @classmethod
     def identity(cls, rank):
@@ -83,14 +94,10 @@ class FreeWord:
             return NotImplemented
         if self.rank != other.rank:
             raise RankMismatch("free words over different ranks: %d vs %d" % (self.rank, other.rank))
-        return FreeWord(self.rank, self.letters + other.letters)
+        return _new(FreeWord, rank=self.rank, letters=_reduce(self.letters + other.letters))
 
     def inverse(self):
-        return FreeWord(self.rank, tuple(-l for l in reversed(self.letters)))
-
-    def __pow__(self, n):
-        base = self if n >= 0 else self.inverse()
-        return FreeWord(self.rank, base.letters * abs(n))
+        return _new(FreeWord, rank=self.rank, letters=tuple(-l for l in reversed(self.letters)))
 
     def is_identity(self):
         return not self.letters
@@ -106,7 +113,7 @@ class FreeWord:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.rank, self.letters))
 
     def __repr__(self):
         return "FreeWord(%d, %r)" % (self.rank, list(self.letters))
@@ -136,8 +143,8 @@ class GeneratorConjugate:
             raise ValueError("core index %d out of range" % (self.core,))
 
     def word(self):
-        g = FreeWord.generator(self.conjugator.rank, self.core)
-        return conjugate(g, self.conjugator)
+        w = self.conjugator
+        return _new(FreeWord, rank=w.rank, letters=_reduce(w.letters + (self.core,) + w.inverse().letters))
 
 
 def cyclic_reduce(u):
@@ -145,12 +152,12 @@ def cyclic_reduce(u):
 
     w collects the peeled prefix letters in order.
     """
-    letters = list(u.letters)
-    prefix = []
-    while len(letters) >= 2 and letters[0] == -letters[-1]:
-        prefix.append(letters[0])
-        letters = letters[1:-1]
-    return FreeWord(u.rank, tuple(letters)), FreeWord(u.rank, tuple(prefix))
+    letters = u.letters
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+        lo += 1
+        hi -= 1
+    return _new(FreeWord, rank=u.rank, letters=letters[lo:hi]), _new(FreeWord, rank=u.rank, letters=letters[:lo])
 
 
 def is_generator_conjugate(u):
@@ -198,17 +205,17 @@ class Braid:
             return NotImplemented
         if self.strands != other.strands:
             raise RankMismatch("braids on different strand counts: %d vs %d" % (self.strands, other.strands))
-        return Braid(self.strands, self.letters + other.letters)
+        return _new(Braid, strands=self.strands, letters=_reduce(self.letters + other.letters))
 
     def inverse(self):
-        return Braid(self.strands, tuple(-l for l in reversed(self.letters)))
+        return _new(Braid, strands=self.strands, letters=tuple(-l for l in reversed(self.letters)))
 
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
-        return Braid(self.strands, base.letters * abs(n))
+        return _new(Braid, strands=self.strands, letters=_reduce(base.letters * abs(n)))
 
     def is_identity(self):
-        return all(img == FreeWord.generator(self.strands, i) for i, img in self.action())
+        return all(img.letters == (i,) for i, img in self.action())
 
     def action(self):
         """Images of x_1 .. x_r under this braid, as ((i, image), ...).
@@ -218,7 +225,7 @@ class Braid:
         """
         if self._action is None:
             self._action = tuple(
-                (i, artin_apply(self, FreeWord.generator(self.strands, i)))
+                (i, artin_apply(self, _new(FreeWord, rank=self.strands, letters=(i,))))
                 for i in range(1, self.strands + 1)
             )
         return self._action
@@ -244,22 +251,13 @@ class Braid:
 
 def _letter_image(s, l):
     """Image of the free letter l under one braid letter s (s may be negative)."""
-    i = abs(l)
-    j = abs(s)
-    if s > 0:
-        if i == j:
-            img = (j, j + 1, -j)
-        elif i == j + 1:
-            img = (j,)
-        else:
-            img = (i,)
+    i, j = abs(l), abs(s)
+    if i == j:
+        img = (j, j + 1, -j) if s > 0 else (j + 1,)
+    elif i == j + 1:
+        img = (j,) if s > 0 else (-(j + 1), j, j + 1)
     else:
-        if i == j:
-            img = (j + 1,)
-        elif i == j + 1:
-            img = (-(j + 1), j, j + 1)
-        else:
-            img = (i,)
+        img = (i,)
     if l < 0:
         img = tuple(-t for t in reversed(img))
     return img
@@ -283,7 +281,7 @@ def artin_apply(b, u):
                 else:
                     out.append(t)
         letters = tuple(out)
-    return FreeWord(u.rank, letters)
+    return _new(FreeWord, rank=u.rank, letters=letters)
 
 
 @dataclass(frozen=True)
@@ -322,8 +320,8 @@ def supporting_pair(a):
     """
     r = a.strands
     b = a.base
-    eta1 = artin_apply(a.carrier, FreeWord.generator(r, b))
-    eta2 = artin_apply(a.carrier, FreeWord(r, (b, b + 1, -b)))
+    eta1 = artin_apply(a.carrier, _new(FreeWord, rank=r, letters=(b,)))
+    eta2 = artin_apply(a.carrier, _new(FreeWord, rank=r, letters=(b, b + 1, -b)))
     g1 = is_generator_conjugate(eta1)
     g2 = is_generator_conjugate(eta2)
     if g1 is None or g2 is None:
@@ -353,12 +351,7 @@ def _parse_tokens(s, pos, neg, what):
     letters = []
     for tok in s.split():
         head, tail = tok[:1], tok[1:]
-        if not tail.isdigit():
+        if head not in (pos, neg) or not (tail.isascii() and tail.isdigit()):
             raise ValueError("bad %s token %r" % (what, tok))
-        if head == pos:
-            letters.append(int(tail))
-        elif head == neg:
-            letters.append(-int(tail))
-        else:
-            raise ValueError("bad %s token %r" % (what, tok))
+        letters.append(int(tail) if head == pos else -int(tail))
     return tuple(letters)

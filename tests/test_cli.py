@@ -8,6 +8,8 @@ import pytest
 import lefpen
 from lefpen.cli import main
 
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+
 
 @pytest.fixture()
 def torus2(tmp_path):
@@ -191,6 +193,8 @@ def test_verify_localtrans(capsys):
         ["verify", "deform", "--k", "1000", "--D", "1", "--n", "17"],
         ["verify", "deform", "--k", "1000", "--D", "1", "--n", "1000000"],
         ["verify", "localtrans", "--seed", "1", "--trials", "3", "--kappa", "1e-3"],
+        ["pencil", "validate", os.path.join(DATA, "pencil_disc3_arabic_indic_digit.json")],
+        ["pencil", "hurwitz", os.path.join(DATA, "pencil_torus_abab.json"), "--braid", "s\u0663"],
     ],
     ids=[
         "cutoff-k-nan",
@@ -216,6 +220,8 @@ def test_verify_localtrans(capsys):
         "deform-n-beyond-block",
         "deform-n-huge",
         "localtrans-kappa-degenerate-graph",
+        "validate-disc-cycle-arabic-indic-digit",
+        "hurwitz-braid-arabic-indic-digit",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -353,9 +359,6 @@ def test_unencodable_report_is_not_a_usage_error(monkeypatch, capsys):
     with pytest.raises(ValueError):
         main(["verify", "radial", "--samples", "1"])
     assert capsys.readouterr().out == ""
-
-
-DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 @pytest.mark.parametrize(

@@ -3,18 +3,32 @@
 Disc pencils are drawn as round range curves pushed forward by short
 braids, so every cycle keeps a twistable presentation.
 
-The algebra builds its results without the public constructors' checks;
-the trusted-path laws rebuild every result through those constructors.
+The algebra builds its results through ``words._new``, the exact layer's
+one unchecked constructor; the trusted-path laws rebuild every result
+through the public constructors, and the boundary table keeps their checks.
 """
 
 import json
+import re
 from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from lefpen.words import Arc, Braid, FreeWord
+from lefpen.words import (
+    Arc,
+    Braid,
+    FreeWord,
+    GeneratorConjugate,
+    RankMismatch,
+    artin_apply,
+    braid_from_str,
+    cyclic_reduce,
+    half_twist,
+    supporting_pair,
+    word_from_str,
+)
 from lefpen.fiber import (
     Cycle,
     FiberElement,
@@ -23,12 +37,14 @@ from lefpen.fiber import (
     act,
     base_half_twist,
     dehn_twist,
+    full_twist,
     standard_curve,
     symplectic_pairing,
 )
 from lefpen.pencil import (
     Automorphism,
     Pencil,
+    _carrier_words,
     automorphism_from_json,
     automorphism_to_json,
     hurwitz_apply,
@@ -142,8 +158,14 @@ def test_json_round_trips(data):
 def rebuilt_element(g):
     """g through the public, checking constructor."""
     if g.model.kind == "disc":
-        return FiberElement(g.model, braid=g.braid)
+        return FiberElement(g.model, braid=rebuilt_word(g.braid))
     return FiberElement(g.model, matrix=g.matrix)
+
+
+def rebuilt_word(u):
+    if isinstance(u, Braid):
+        return Braid(u.strands, u.letters)
+    return FreeWord(u.rank, u.letters)
 
 
 def rebuilt_cycle(c):
@@ -220,6 +242,61 @@ def test_algebra_results_pass_the_public_constructor(data):
     for x in built:
         back = rebuilt_element(x)
         assert back == x and hash(back) == hash(x)
+        assert back.braid is None or back.braid.letters == x.braid.letters
+
+
+@LAWS
+@given(st.data())
+def test_word_algebra_results_pass_the_public_constructor(data):
+    r = data.draw(st.integers(2, 5))
+    u, v = data.draw(free_words(r, 8)), data.draw(free_words(r, 8))
+    b, c = data.draw(braids(r, 6)), data.draw(braids(r, 6))
+    a = Arc(data.draw(st.integers(1, r - 1)), b)
+    i = data.draw(st.integers(1, r))
+    j = data.draw(st.integers(i, r))
+    # an arbitrary conjugator may end in the core or its inverse
+    conjugated = GeneratorConjugate(data.draw(st.integers(1, r)), u)
+    # a conjugate's first and last letters cancel across the factors of its powers
+    power = (c * b * c.inverse()) ** data.draw(st.integers(-3, 3))
+    built = [u * v, u.inverse(), b * c, b.inverse(), power, artin_apply(b, u)]
+    built += [*cyclic_reduce(u), conjugated.word(), half_twist(a), full_twist(r, i, j)]
+    built += [img for _, img in b.action()]
+    for g in supporting_pair(a):
+        built += [g.conjugator, g.word()]
+    built += _carrier_words(r, 2)
+    for x in built:
+        back = rebuilt_word(x)
+        assert back.letters == x.letters and back == x
+        assert isinstance(x, Braid) or hash(back) == hash(x)
+
+
+LETTERS = "(allowed indices 1..2)"
+BOUNDARY = {
+    "rank-zero": (lambda: FreeWord(0), ValueError, "rank must be positive"),
+    "strands-zero": (lambda: Braid(0), ValueError, "strand count must be positive"),
+    "b1-letter": (lambda: Braid(1, (1,)), ValueError, "B_1 is trivial"),
+    "free-letter-range": (lambda: FreeWord(2, (1, -3)), ValueError, "invalid free word letter -3 " + LETTERS),
+    "free-letter-zero": (lambda: FreeWord(2, (0,)), ValueError, "invalid free word letter 0 " + LETTERS),
+    "free-letter-float": (lambda: FreeWord(2, (1.0,)), ValueError, "invalid free word letter 1.0 " + LETTERS),
+    "free-letter-parsed": (lambda: word_from_str(2, "x3"), ValueError, "invalid free word letter 3 " + LETTERS),
+    "braid-letter-range": (lambda: Braid(3, (3,)), ValueError, "invalid braid letter 3 " + LETTERS),
+    "braid-letter-zero": (lambda: Braid(3, (0,)), ValueError, "invalid braid letter 0 " + LETTERS),
+    "braid-letter-float": (lambda: Braid(3, (2.0,)), ValueError, "invalid braid letter 2.0 " + LETTERS),
+    "braid-letter-parsed": (lambda: braid_from_str(3, "S3"), ValueError, "invalid braid letter -3 " + LETTERS),
+    "core-range": (lambda: GeneratorConjugate(3, FreeWord(2)), ValueError, "core index 3 out of range"),
+    "core-zero": (lambda: GeneratorConjugate(0, FreeWord(2)), ValueError, "core index 0 out of range"),
+    "arc-base-range": (lambda: Arc(3, Braid(3)), ValueError, "arc base 3 out of range for 3 strands"),
+    "arc-base-zero": (lambda: Arc(0, Braid(3)), ValueError, "arc base 0 out of range for 3 strands"),
+    "free-mul": (lambda: FreeWord(2) * FreeWord(3), RankMismatch, "free words over different ranks: 2 vs 3"),
+    "braid-mul": (lambda: Braid(2) * Braid(3), RankMismatch, "braids on different strand counts: 2 vs 3"),
+    "artin-apply": (lambda: artin_apply(Braid(3), FreeWord(2)), RankMismatch, "braid on 3 strands cannot act on F_2"),
+}
+
+
+@pytest.mark.parametrize("build, error, message", BOUNDARY.values(), ids=BOUNDARY.keys())
+def test_public_word_constructors_keep_their_checks(build, error, message):
+    with pytest.raises(error, match="^%s$" % re.escape(message)):
+        build()
 
 
 @LAWS

@@ -212,3 +212,9 @@ def test_serialization_rejects_garbage():
         word_from_str(3, "x")
     with pytest.raises(ValueError):
         word_from_str(2, "x3")
+    # a digit outside ASCII is a bad token, not a letter or an int() error
+    for tok in ("x²", "x١"):
+        with pytest.raises(ValueError, match="bad free word token '%s'" % tok):
+            word_from_str(3, tok + " x2")
+    with pytest.raises(ValueError, match="bad braid token 's٣'"):
+        braid_from_str(4, "s٣")
