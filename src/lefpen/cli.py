@@ -211,7 +211,7 @@ def cmd_verify_localtrans(args):
     area_ok = 0
     worst_residual = 0.0
     certs = []
-    grid = ball_grid(1.1, 101, 1)
+    grid = ball_grid(1.1, 101)
     for index in range(args.trials):
         inst = random_instance(rng, kappa=args.kappa, delta=args.delta, pexp=args.pexp)
         residual = solve_w_residual(inst.p, inst.q, grid)

@@ -27,11 +27,12 @@ of the exact layer.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from math import gcd
 
-from .words import Braid, FreeWord, _new, artin_apply, braid_from_str, half_twist, word_from_str, word_to_str
+from .words import (
+    Braid, FreeWord, _is_integer, _new, artin_apply, braid_from_str, half_twist, word_from_str, word_to_str
+)
 
 EXACT = "exact"
 LOWER_BOUND = "lower_bound"
@@ -103,7 +104,7 @@ def _integers(values, what):
     integer (a float or a bool included, so nothing is truncated)."""
     values = tuple(values)
     for x in values:
-        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
+        if not _is_integer(x):
             raise ValueError("%s must be an integer, got %r" % (what, x))
     return tuple(map(int, values))
 

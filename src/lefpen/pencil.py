@@ -199,7 +199,7 @@ def hurwitz_apply(b, P):
     binv = b.inverse()
     new_cycles = []
     for i in range(1, P.r + 1):
-        w = artin_apply(binv, FreeWord.generator(P.r, i))
+        w = artin_apply(binv, _new(FreeWord, rank=P.r, letters=(i,)))
         new_cycles.append(vanishing_label(P, w))
     return Pencil(P.fiber, new_cycles)
 
@@ -217,7 +217,7 @@ def in_gamma_detail(A, P):
         raise ModelMismatch("automorphism fiber element lives in the wrong model")
     ginv = A.g.inverse()
     for i in range(1, P.r + 1):
-        u = artin_apply(A.b, FreeWord.generator(P.r, i))
+        u = artin_apply(A.b, _new(FreeWord, rank=P.r, letters=(i,)))
         lhs_elem = monodromy_of(P, u)
         rhs_elem = A.g * P.twist(i) * ginv
         if lhs_elem != rhs_elem:

@@ -1,19 +1,19 @@
 """Symmetric local perturbation: picking w so p - w - conj(w) q is transverse.
 
 The local model is s(z, w) = p(z) - w - conj(w) q(z) with p, q complex
-polynomials on the 11/10-ball, |p| <= 1 and |q| <= 1 - kappa.  For fixed
-z the equation s = 0 has the unique solution
+polynomials in one variable on the disc of radius 11/10 in C, |p| <= 1 and
+|q| <= 1 - kappa.  For fixed z the equation s = 0 has the unique solution
 
     w(z) = (p - conj(p) q) / (1 - |q|^2),
 
-a graph over the ball.  Where the z-derivative l(z) = p'(z) - conj(w) q'(z)
+a graph over that disc.  Where the z-derivative l(z) = p'(z) - conj(w) q'(z)
 along the graph is small, the graph's image marks the dangerous values of
 w; a good w0 stays sigma-clear of a C sigma-neighborhood of that image
-and then s(., w0) is sigma-transverse to zero over the unit ball, which a
-brute-force grid check certifies directly.  The quantitative scale is
-sigma = delta (log(1/delta))^(-p) with w0 constrained to |w0| < delta.
+and then s(., w0) is sigma-transverse to zero over the unit disc in C,
+which a brute-force grid check certifies directly.  The quantitative
+scale is sigma = delta (log(1/delta))^(-p) with |w0| < delta.
 
-Everything here is desk scale: tensor grids, a numpy labelling of the
+Everything here is desk scale: square grids, a numpy labelling of the
 clear region's components in the w-disc, and an independent
 re-verification of every certificate on a finer grid.
 
@@ -56,90 +56,31 @@ class VerificationError(RuntimeError):
 
 
 class CPoly:
-    """A complex polynomial in n variables as an exponent -> coefficient map."""
+    """The polynomial c0 + c1 z + c2 z^2 + ... in one complex variable."""
 
-    def __init__(self, n, coeffs):
-        self.n = n
-        clean = {}
-        for exps, c in coeffs.items():
-            exps = tuple(int(e) for e in exps)
-            if len(exps) != n or any(e < 0 for e in exps):
-                raise ValueError("bad exponent tuple %r" % (exps,))
-            c = complex(c)
-            if c != 0:
-                clean[exps] = clean.get(exps, 0.0 + 0.0j) + c
-        self.coeffs = clean
-
-    @classmethod
-    def univariate(cls, coeff_list):
-        """From [c0, c1, ...] meaning c0 + c1 z + ..."""
-        return cls(1, {(i,): c for i, c in enumerate(coeff_list)})
-
-    def degree(self):
-        return max((sum(e) for e in self.coeffs), default=0)
+    def __init__(self, coeffs):
+        self.coeffs = tuple(0j + complex(c) for c in coeffs)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        if self.n == 1:
-            out = np.zeros_like(z)
-            for (e,), c in self.coeffs.items():
+        out = np.zeros_like(z)
+        for e, c in enumerate(self.coeffs):
+            if c:
                 out = out + c * z**e
-            return out
-        out = np.zeros(z.shape[:-1], dtype=complex)
-        for exps, c in self.coeffs.items():
-            term = np.full(z.shape[:-1], c, dtype=complex)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * z[..., i] ** e
-            out = out + term
         return out
 
-    def deriv(self, var=0):
-        out = {}
-        for exps, c in self.coeffs.items():
-            e = exps[var]
-            if e:
-                new = list(exps)
-                new[var] = e - 1
-                out[tuple(new)] = c * e
-        return CPoly(self.n, out)
+    def deriv(self):
+        return CPoly([c * e for e, c in enumerate(self.coeffs) if e])
 
     def scaled(self, factor):
-        return CPoly(self.n, {e: c * factor for e, c in self.coeffs.items()})
-
-    def to_json(self):
-        return {
-            ",".join(str(e) for e in exps): [c.real, c.imag]
-            for exps, c in sorted(self.coeffs.items())
-        }
-
-    @classmethod
-    def from_json(cls, n, doc):
-        coeffs = {}
-        for key, (re, im) in doc.items():
-            exps = tuple(int(t) for t in key.split(","))
-            coeffs[exps] = complex(re, im)
-        return cls(n, coeffs)
+        return CPoly([c * factor for c in self.coeffs])
 
 
-def ball_grid(radius, resolution, n=1):
-    """Points of a tensor grid inside the complex n-ball of the radius.
-
-    n = 1 returns a flat complex array; n = 2 an (m, 2) complex array.
-    """
+def ball_grid(radius, resolution):
+    """A square grid's points in the disc of the radius in C, as a flat array."""
     axis = np.linspace(-radius, radius, resolution)
-    if n == 1:
-        zr, zi = np.meshgrid(axis, axis, indexing="ij")
-        z = (zr + 1j * zi).ravel()
-        return z[np.abs(z) <= radius]
-    if n == 2:
-        g = np.meshgrid(*([axis] * 4), indexing="ij")
-        z1 = (g[0] + 1j * g[1]).ravel()
-        z2 = (g[2] + 1j * g[3]).ravel()
-        pts = np.stack([z1, z2], axis=-1)
-        keep = np.sqrt(np.abs(z1) ** 2 + np.abs(z2) ** 2) <= radius
-        return pts[keep]
-    raise ValueError("desk scale handles n in {1, 2}")
+    z = (axis[:, None] + 1j * axis[None, :]).ravel()
+    return z[np.abs(z) <= radius]
 
 
 def sigma_of(delta, pexp):
@@ -167,20 +108,14 @@ class LocalTransInstance:
             sigma = 0.0
         if not sigma > 0.0:
             raise ValueError("sigma = delta (log 1/delta)^-pexp is not a positive float at delta = %g" % self.delta)
-        if self.p.n != self.q.n:
-            raise ValueError("p and q must share the variable count")
-
-    @property
-    def n(self):
-        return self.p.n
 
     @property
     def sigma(self):
         return sigma_of(self.delta, self.pexp)
 
     def validate(self):
-        """Check the sampled sup bounds on the 11/10-ball."""
-        z = ball_grid(1.1, SUP_RESOLUTION, self.n)
+        """Check the sampled sup bounds on the disc of radius 11/10."""
+        z = ball_grid(1.1, SUP_RESOLUTION)
         sup_p = float(np.max(np.abs(self.p(z))))
         sup_q = float(np.max(np.abs(self.q(z))))
         if sup_p > 1.0 + 1e-12:
@@ -188,27 +123,6 @@ class LocalTransInstance:
         if sup_q > 1.0 - self.kappa + 1e-12:
             raise ValueError("sampled sup |q| = %g exceeds 1 - kappa" % sup_q)
         return {"sup_p": sup_p, "sup_q": sup_q}
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "p": self.p.to_json(),
-            "q": self.q.to_json(),
-            "kappa": self.kappa,
-            "delta": self.delta,
-            "pexp": self.pexp,
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        n = int(doc["n"])
-        return cls(
-            CPoly.from_json(n, doc["p"]),
-            CPoly.from_json(n, doc["q"]),
-            float(doc["kappa"]),
-            float(doc["delta"]),
-            int(doc["pexp"]),
-        )
 
 
 def solve_w(p, q, z):
@@ -240,8 +154,6 @@ def dw_dz_jacobian(p, q, z):
     ds/dw = -(Id + antilinear multiplication by q(z)) and ds/dz the
     complex multiplication by p'(z) - conj(w) q'(z).
     """
-    if p.n != 1:
-        raise ValueError("the graph Jacobian is univariate")
     z = complex(z)
     w = complex(solve_w(p, q, np.array([z]))[0])
     qv = complex(q(np.array([z]))[0])
@@ -252,9 +164,7 @@ def dw_dz_jacobian(p, q, z):
 
 
 def dw_dz_bound_check(p, q, z, kappa):
-    """Spot check |dw/dz| <= 2 kappa^-1 |l(z)| by finite differences (n = 1)."""
-    if p.n != 1:
-        raise ValueError("the dw/dz spot check is univariate")
+    """Spot check |dw/dz| <= 2 kappa^-1 |l(z)| by finite differences."""
     z = np.asarray(z, dtype=complex)
     w0 = solve_w(p, q, z)
     dp, dq = p.deriv(), q.deriv()
@@ -282,17 +192,11 @@ def eta_transverse_check(f, df, grid, eta):
     """Estimated transversality of a complex function on a grid.
 
     True iff every grid point with |f| < eta has derivative with a right
-    inverse of norm at most 1/eta; for a holomorphic scalar on C^n that
-    means gradient norm >= eta.  (Non-strict, so the identity map is
+    inverse of norm at most 1/eta; for a holomorphic function on the unit
+    disc in C that means |f'| >= eta.  (Non-strict, so the identity map is
     1-transverse.)
     """
-    fv = np.abs(f(grid))
-    dv = df(grid)
-    if dv.ndim > fv.ndim:  # n > 1: gradient vectors
-        dnorm = np.sqrt(np.sum(np.abs(dv) ** 2, axis=-1))
-    else:
-        dnorm = np.abs(dv)
-    return eta_margin(fv, dnorm) >= eta
+    return eta_margin(np.abs(f(grid)), np.abs(df(grid))) >= eta
 
 
 @dataclass(frozen=True)
@@ -311,17 +215,6 @@ class TransversalityCertificate:
     @property
     def area_claim_ok(self):
         return self.clearance_area > self.clearance_claim
-
-    def to_json(self):
-        return {
-            "w0": [self.w0.real, self.w0.imag],
-            "margin": self.margin,
-            "sigma": self.sigma,
-            "clearance_area": self.clearance_area,
-            "clearance_claim": self.clearance_claim,
-            "area_claim_ok": self.area_claim_ok,
-            "grid": self.grid,
-        }
 
 
 def _label_components(free):
@@ -449,7 +342,7 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     sigma = inst.sigma
     dp, dq = inst.p.deriv(), inst.q.deriv()
 
-    z = ball_grid(1.1, graph_resolution, 1)
+    z = ball_grid(1.1, graph_resolution)
     w_graph, residual = _graph(inst.p, inst.q, z)
     if residual > 1e-10:
         raise VerificationError("graph residual %g exceeds 1e-10" % residual, margins={"residual": residual})
@@ -457,8 +350,7 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     bad_images = w_graph[l <= C * sigma]
 
     axis = np.linspace(-inst.delta, inst.delta, w_resolution)
-    wr, wi = np.meshgrid(axis, axis, indexing="ij")
-    w_flat = (wr + 1j * wi).ravel()
+    w_flat = (axis[:, None] + 1j * axis[None, :]).ravel()
     in_disc = np.abs(w_flat) <= inst.delta
     free = np.zeros(w_flat.shape, dtype=bool)
     free[in_disc] = _clear(w_flat[in_disc], bad_images, C * sigma)
@@ -473,7 +365,7 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     main_points = w_flat[(labels == main).ravel()]
     w0 = complex(main_points[_farthest(main_points, bad_images)])
 
-    zv = ball_grid(1.0, verify_resolution, 1)
+    zv = ball_grid(1.0, verify_resolution)
     s = np.abs(inst.p(zv) - w0 - np.conj(w0) * inst.q(zv))
     ds = np.abs(dp(zv) - np.conj(w0) * dq(zv))
     margin = eta_margin(s, ds)
@@ -495,11 +387,11 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
 def find_good_w0(inst, graph_resolution=201, w_resolution=201, verify_resolution=201):
     """Select and certify a good perturbation value w0 for the instance.
 
-    Computes the graph w(z) over the 11/10-ball, its near-critical image,
+    Computes the graph w(z) over the disc of radius 11/10, its near-critical image,
     and picks the w-disc point (inside the largest clear component of the
     grid's 4-neighbour labelling) farthest from the C sigma-neighborhood of
     that image.  The returned certificate is validated by a brute-force
-    transversality check at eta = sigma over the unit ball; one automatic
+    transversality check at eta = sigma over the unit disc; one automatic
     2x refinement is attempted before reporting failure.
     """
     spec = (graph_resolution, w_resolution, verify_resolution)
@@ -515,9 +407,9 @@ def find_good_w0(inst, graph_resolution=201, w_resolution=201, verify_resolution
 
 
 def reverify(inst, cert):
-    """Independent re-check of a certificate on a finer unit-ball grid."""
+    """Independent re-check of a certificate on a finer unit-disc grid."""
     res = REVERIFY_FACTOR * cert.grid["verify_resolution"] - 1
-    zv = ball_grid(1.0, res, 1)
+    zv = ball_grid(1.0, res)
     dp, dq = inst.p.deriv(), inst.q.deriv()
     return eta_transverse_check(
         lambda g: inst.p(g) - cert.w0 - np.conj(cert.w0) * inst.q(g),
@@ -529,13 +421,13 @@ def reverify(inst, cert):
 
 def random_instance(rng, kappa=0.2, delta=0.1, pexp=2):
     """A seeded random univariate instance normalized to the sup bounds."""
-    z = ball_grid(1.1, SUP_RESOLUTION, 1)
+    z = ball_grid(1.1, SUP_RESOLUTION)
 
     def draw(sup_target, min_degree=0):
         while True:
             deg = int(rng.integers(min_degree, MAX_DEGREE + 1))
             coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-            poly = CPoly.univariate(list(coeffs))
+            poly = CPoly(coeffs)
             sup = float(np.max(np.abs(poly(z))))
             if sup > 1e-9:
                 return poly.scaled(sup_target / sup)

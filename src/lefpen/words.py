@@ -33,6 +33,7 @@ and are built by ``_new``, the exact layer's one unchecked constructor.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -59,9 +60,23 @@ def _new(cls, **fields):
     return obj
 
 
+def _is_integer(x):
+    """An int, or a numbers.Integral but no bool: the integer rule of letters and fiber entries."""
+    return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
+
+
+def _int_letters(letters, bound, what):
+    """The raw letters as ints, checked before reduction so that no bool or float cancels unseen."""
+    letters = tuple(letters)
+    for l in letters:
+        if not _is_integer(l):
+            raise ValueError("invalid %s letter %r (allowed indices 1..%d)" % (what, l, bound))
+    return tuple(map(int, letters))
+
+
 def _check_letters(letters, bound, what):
     for l in letters:
-        if not isinstance(l, int) or l == 0 or abs(l) > bound:
+        if l == 0 or abs(l) > bound:
             raise ValueError("invalid %s letter %r (allowed indices 1..%d)" % (what, l, bound))
 
 
@@ -76,7 +91,7 @@ class FreeWord:
     def __init__(self, rank, letters=()):
         if rank < 1:
             raise ValueError("rank must be positive")
-        letters = _reduce(letters)
+        letters = _reduce(_int_letters(letters, rank, "free word"))
         _check_letters(letters, rank, "free word")
         self.rank = rank
         self.letters = letters
@@ -184,7 +199,7 @@ class Braid:
     def __init__(self, strands, letters=()):
         if strands < 1:
             raise ValueError("strand count must be positive")
-        letters = _reduce(letters)
+        letters = _reduce(_int_letters(letters, strands - 1, "braid"))
         if strands == 1 and letters:
             raise ValueError("B_1 is trivial")
         _check_letters(letters, strands - 1, "braid")
@@ -213,9 +228,6 @@ class Braid:
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
         return _new(Braid, strands=self.strands, letters=_reduce(base.letters * abs(n)))
-
-    def is_identity(self):
-        return all(img.letters == (i,) for i, img in self.action())
 
     def action(self):
         """Images of x_1 .. x_r under this braid, as ((i, image), ...).

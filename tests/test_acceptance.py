@@ -250,7 +250,7 @@ def test_criterion_7_radial_map_closed_forms():
 
 def test_criterion_8_local_transversality_trials():
     rng = np.random.default_rng(1)
-    grid = ball_grid(1.1, 101, 1)
+    grid = ball_grid(1.1, 101)
     successes = 0
     area_ok = 0
     worst_residual = 0.0

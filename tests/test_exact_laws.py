@@ -12,6 +12,7 @@ import json
 import re
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -278,10 +279,12 @@ BOUNDARY = {
     "free-letter-range": (lambda: FreeWord(2, (1, -3)), ValueError, "invalid free word letter -3 " + LETTERS),
     "free-letter-zero": (lambda: FreeWord(2, (0,)), ValueError, "invalid free word letter 0 " + LETTERS),
     "free-letter-float": (lambda: FreeWord(2, (1.0,)), ValueError, "invalid free word letter 1.0 " + LETTERS),
+    "free-letter-bool": (lambda: FreeWord(2, (True, -1)), ValueError, "invalid free word letter True " + LETTERS),
     "free-letter-parsed": (lambda: word_from_str(2, "x3"), ValueError, "invalid free word letter 3 " + LETTERS),
     "braid-letter-range": (lambda: Braid(3, (3,)), ValueError, "invalid braid letter 3 " + LETTERS),
     "braid-letter-zero": (lambda: Braid(3, (0,)), ValueError, "invalid braid letter 0 " + LETTERS),
     "braid-letter-float": (lambda: Braid(3, (2.0,)), ValueError, "invalid braid letter 2.0 " + LETTERS),
+    "braid-letter-bool": (lambda: Braid(3, (2, True)), ValueError, "invalid braid letter True " + LETTERS),
     "braid-letter-parsed": (lambda: braid_from_str(3, "S3"), ValueError, "invalid braid letter -3 " + LETTERS),
     "core-range": (lambda: GeneratorConjugate(3, FreeWord(2)), ValueError, "core index 3 out of range"),
     "core-zero": (lambda: GeneratorConjugate(0, FreeWord(2)), ValueError, "core index 0 out of range"),
@@ -297,6 +300,13 @@ BOUNDARY = {
 def test_public_word_constructors_keep_their_checks(build, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         build()
+
+
+def test_integral_letters_are_stored_as_int():
+    # a numpy integer is an integer letter, as it is a fiber entry, and is stored as an int
+    for word in (FreeWord(2, (np.int64(1), -2)), Braid(3, (np.int32(2), -1)), Braid(3, (np.int64(2), np.int8(-2), 1))):
+        assert word.letters and all(type(l) is int for l in word.letters)
+    assert FreeWord(2, (np.int64(2), -2)) == FreeWord(2)
 
 
 @LAWS

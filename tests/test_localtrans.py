@@ -28,28 +28,52 @@ from lefpen.transversal.localtrans import (
 
 
 def normalized(coeffs, sup_target=1.0, resolution=101):
-    poly = CPoly.univariate(coeffs)
-    sup = float(np.max(np.abs(poly(ball_grid(1.1, resolution, 1)))))
+    poly = CPoly(coeffs)
+    sup = float(np.max(np.abs(poly(ball_grid(1.1, resolution)))))
     return poly.scaled(sup_target / sup)
 
 
 def test_cpoly_eval_and_deriv():
-    p = CPoly.univariate([1, 2, 3])  # 1 + 2z + 3z^2
+    p = CPoly([1, 2, 3])  # 1 + 2z + 3z^2
     assert p(np.array([2.0 + 0j]))[0] == pytest.approx(17.0)
     dp = p.deriv()
     assert dp(np.array([2.0 + 0j]))[0] == pytest.approx(14.0)
-    assert p.degree() == 2
-    doc = p.to_json()
-    assert doc == {"0": [1.0, 0.0], "1": [2.0, 0.0], "2": [3.0, 0.0]}
-    assert CPoly.from_json(1, doc).coeffs == p.coeffs
 
 
-def test_cpoly_two_variables():
-    p = CPoly(2, {(1, 0): 1.0, (0, 2): 2.0})  # z1 + 2 z2^2
-    z = np.array([[1.0 + 0j, 1j]])
-    assert p(z)[0] == pytest.approx(1.0 - 2.0)
-    dp2 = p.deriv(1)
-    assert dp2(z)[0] == pytest.approx(4j)
+# the reference for CPoly: the exponent -> coefficient map it replaced, with
+# its constructor, evaluation, derivative and scaling
+def _exponent_map(items):
+    out = {}
+    for exps, c in items:
+        c = complex(c)
+        if c != 0:
+            out[exps] = out.get(exps, 0.0 + 0.0j) + c
+    return out
+
+
+def _exponent_map_eval(coeffs, z):
+    out = np.zeros_like(z)
+    for (e,), c in coeffs.items():
+        out = out + c * z**e
+    return out
+
+
+def test_cpoly_matches_exponent_map_evaluation():
+    rng = np.random.default_rng(4)
+    grids = [ball_grid(radius, res) for radius in (1.0, 1.1) for res in (101, 201, 401)]
+    polys = [CPoly([0.5, 0.0, -0.0, 2j, 0.0])]  # zero coefficients are skipped, as the map left them out
+    for _ in range(6):
+        inst = random_instance(rng)
+        polys += [inst.p, inst.q]
+    for poly in polys:
+        ref = _exponent_map(((e,), c) for e, c in enumerate(poly.coeffs))
+        ref_deriv = _exponent_map(((e - 1,), c * e) for (e,), c in ref.items() if e)
+        factor = float(rng.uniform(0.1, 3.0))
+        ref_scaled = _exponent_map((exps, c * factor) for exps, c in ref.items())
+        for z in grids:
+            assert np.array_equal(poly(z), _exponent_map_eval(ref, z))
+            assert np.array_equal(poly.deriv()(z), _exponent_map_eval(ref_deriv, z))
+            assert np.array_equal(poly.scaled(factor)(z), _exponent_map_eval(ref_scaled, z))
 
 
 def test_sigma_closed_form():
@@ -59,31 +83,31 @@ def test_sigma_closed_form():
 
 def test_solve_w_cases():
     # q = 0: w = p(z)
-    p = CPoly.univariate([0, 1])
-    q0 = CPoly.univariate([0.0])
+    p = CPoly([0, 1])
+    q0 = CPoly([0.0])
     z = np.array([0.3 + 0.2j])
     assert solve_w(p, q0, z)[0] == pytest.approx(z[0])
     # closed-form check: p(z) = z, q = 1/2, z = 1 -> w = 2/3
-    qh = CPoly.univariate([0.5])
+    qh = CPoly([0.5])
     w = solve_w(p, qh, np.array([1.0 + 0j]))[0]
     assert w == pytest.approx(2.0 / 3.0)
     assert abs(1.0 - w - w.conjugate() * 0.5) < 1e-14
     # real data gives real w
-    pr = CPoly.univariate([0.25, -0.5, 0.125])
+    pr = CPoly([0.25, -0.5, 0.125])
     zr = np.array([0.7 + 0j])
     assert abs(solve_w(pr, qh, zr)[0].imag) < 1e-15
 
 
 def test_solve_w_degenerate_q():
-    p = CPoly.univariate([0, 1])
-    q = CPoly.univariate([1.0])
+    p = CPoly([0, 1])
+    q = CPoly([1.0])
     with pytest.raises(ValueError):
         solve_w(p, q, np.array([0.5 + 0j]))
 
 
 def test_solve_w_residual_small():
     rng = np.random.default_rng(0)
-    z = ball_grid(1.1, 51, 1)
+    z = ball_grid(1.1, 51)
     for _ in range(20):
         inst = random_instance(rng)
         assert solve_w_residual(inst.p, inst.q, z) < 1e-10
@@ -91,16 +115,16 @@ def test_solve_w_residual_small():
 
 def test_dw_dz_bound():
     inst = LocalTransInstance(
-        normalized([-0.25, 0, 1.0]), CPoly.univariate([0.5]), 0.5, 0.1, 2
+        normalized([-0.25, 0, 1.0]), CPoly([0.5]), 0.5, 0.1, 2
     )
-    rep = dw_dz_bound_check(inst.p, inst.q, ball_grid(0.9, 15, 1), inst.kappa)
+    rep = dw_dz_bound_check(inst.p, inst.q, ball_grid(0.9, 15), inst.kappa)
     assert rep["ok"]
 
 
 def test_dw_dz_bound_matches_per_point_svd():
     # reference: one 2x2 SVD per grid point, as a loop
     rng = np.random.default_rng(5)
-    z = ball_grid(0.9, 15, 1)
+    z = ball_grid(0.9, 15)
     h = FD_STEP
     for _ in range(5):
         inst = random_instance(rng)
@@ -132,20 +156,20 @@ def test_dw_dz_jacobian_vs_finite_differences():
 
 def test_instance_invariants():
     with pytest.raises(ValueError):
-        LocalTransInstance(CPoly.univariate([2.0]), CPoly.univariate([0.0]), 0.2, 0.1, 2).validate()
+        LocalTransInstance(CPoly([2.0]), CPoly([0.0]), 0.2, 0.1, 2).validate()
     with pytest.raises(ValueError):
-        LocalTransInstance(CPoly.univariate([0.5]), CPoly.univariate([0.9]), 0.2, 0.1, 2).validate()
+        LocalTransInstance(CPoly([0.5]), CPoly([0.9]), 0.2, 0.1, 2).validate()
     with pytest.raises(ValueError):
-        LocalTransInstance(CPoly.univariate([0.5]), CPoly.univariate([0.0]), 0.2, 0.7, 2)
+        LocalTransInstance(CPoly([0.5]), CPoly([0.0]), 0.2, 0.7, 2)
 
 
 def test_eta_transverse_check_examples():
-    grid = ball_grid(1.0, 41, 1)
-    ident = CPoly.univariate([0, 1])
+    grid = ball_grid(1.0, 41)
+    ident = CPoly([0, 1])
     assert eta_transverse_check(ident, ident.deriv(), grid, 1.0)
-    square = CPoly.univariate([0, 0, 1])
+    square = CPoly([0, 0, 1])
     assert not eta_transverse_check(square, square.deriv(), grid, 0.05)
-    const = CPoly.univariate([0.9])
+    const = CPoly([0.9])
     assert eta_transverse_check(const, const.deriv(), grid, 0.5)  # vacuous
 
 
@@ -164,19 +188,17 @@ def test_eta_margin_matches_reference_mask(data):
 
 def test_find_good_w0_reference_instance():
     inst = LocalTransInstance(
-        normalized([-0.25, 0, 1.0]), CPoly.univariate([0.5]), 0.5, 0.1, 2
+        normalized([-0.25, 0, 1.0]), CPoly([0.5]), 0.5, 0.1, 2
     )
     cert = find_good_w0(inst)
     assert cert.margin >= inst.sigma
     assert abs(cert.w0) <= inst.delta
     assert reverify(inst, cert)
-    doc = cert.to_json()
-    assert set(doc) >= {"w0", "margin", "sigma", "clearance_area", "area_claim_ok", "grid"}
 
 
 def test_find_good_w0_unperturbed_case():
     # q = 0 degenerates to avoiding critical values of p
-    inst = LocalTransInstance(normalized([0.0, 0.2, 0.0, 1.0]), CPoly.univariate([0.0]), 0.2, 0.1, 2)
+    inst = LocalTransInstance(normalized([0.0, 0.2, 0.0, 1.0]), CPoly([0.0]), 0.2, 0.1, 2)
     cert = find_good_w0(inst)
     assert cert.margin >= inst.sigma
     assert reverify(inst, cert)
@@ -185,22 +207,10 @@ def test_find_good_w0_unperturbed_case():
 def test_find_good_w0_failure_reports():
     # a near-constant slope |p'| below C sigma makes every w in the disc
     # sit inside the dangerous neighborhood: no clear region exists
-    p = CPoly.univariate([0.0, 4e-4])
-    inst = LocalTransInstance(p, CPoly.univariate([0.0]), 0.2, 1e-3, 1)
+    p = CPoly([0.0, 4e-4])
+    inst = LocalTransInstance(p, CPoly([0.0]), 0.2, 1e-3, 1)
     with pytest.raises(VerificationError):
         find_good_w0(inst, graph_resolution=81, w_resolution=41, verify_resolution=81)
-
-
-def test_instance_json_roundtrip():
-    inst = LocalTransInstance(
-        normalized([-0.25, 0, 1.0]), CPoly.univariate([0.5, 0.1j]), 0.5, 0.1, 2
-    )
-    doc = inst.to_json()
-    back = LocalTransInstance.from_json(doc)
-    assert back.p.coeffs == inst.p.coeffs
-    assert back.q.coeffs == inst.q.coeffs
-    assert (back.kappa, back.delta, back.pexp) == (0.5, 0.1, 2)
-    assert back.sigma == inst.sigma
 
 
 def test_seeded_trials_success_rate():
@@ -409,7 +419,7 @@ def test_clear_and_farthest_on_instance_bad_sets():
     for delta in (0.1, 0.2):
         for _ in range(3):
             inst = random_instance(rng, delta=delta)
-            z = ball_grid(1.1, 201, 1)
+            z = ball_grid(1.1, 201)
             w, _ = localtrans._graph(inst.p, inst.q, z)
             l = np.abs(inst.p.deriv()(z) - np.conj(w) * inst.q.deriv()(z))
             radius = localtrans.C * inst.sigma
