@@ -13,7 +13,6 @@ from .words import (
     Arc,
     Braid,
     FreeWord,
-    GeneratorConjugate,
     RankMismatch,
     artin_apply,
     braid_from_str,

@@ -52,7 +52,7 @@ from .transversal import (
     solve_w_residual,
     verify_deform_bounds,
 )
-from .transversal.localtrans import BLOCK_ENTRIES
+from .transversal.localtrans import BLOCK_ENTRIES, SUP_RESOLUTION
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
 
@@ -124,7 +124,7 @@ def cmd_pencil_matching(args):
                 "base": a.base,
                 "carrier": braid_to_str(a.carrier),
                 "class": str(cls),
-                "supporting_pair": [word_to_str(eta1.word()), word_to_str(eta2.word())],
+                "supporting_pair": [word_to_str(eta1), word_to_str(eta2)],
                 "labels": [cycle_to_json(s1), cycle_to_json(s2)],
             }
         )
@@ -211,7 +211,7 @@ def cmd_verify_localtrans(args):
     area_ok = 0
     worst_residual = 0.0
     certs = []
-    grid = ball_grid(1.1, 101)
+    grid = ball_grid(1.1, SUP_RESOLUTION)
     for index in range(args.trials):
         inst = random_instance(rng, kappa=args.kappa, delta=args.delta, pexp=args.pexp)
         residual = solve_w_residual(inst.p, inst.q, grid)

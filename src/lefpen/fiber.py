@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .words import (
-    Braid, FreeWord, _is_integer, _new, artin_apply, braid_from_str, half_twist, word_from_str, word_to_str
+    Braid, FreeWord, _is_integer, _new, _peel, artin_apply, braid_from_str, half_twist, word_from_str, word_to_str
 )
 
 EXACT = "exact"
@@ -148,10 +148,7 @@ def _canonical_cyclic(letters):
     Each letter l is coded once as 2|l| + (l < 0), which has that order;
     inverting a letter flips the low bit of its code.
     """
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
-        lo += 1
-        hi -= 1
+    lo, hi = _peel(letters)
     if lo == hi:
         return ()
     code = [2 * abs(l) + (l < 0) for l in letters[lo:hi]]

@@ -20,7 +20,7 @@ the familiar rule s_i: (c_i, c_{i+1}) -> (c_{i+1}, twist(c_{i+1})^(-1) c_i)
 and the total monodromy zeta(x_1 .. x_r) never changes.
 
 Arcs between critical values are classified through their supporting pair
-(eta', eta'') and the cycles S' = L(eta'), S'' = L(eta''):
+of words (eta', eta'') and the cycles S' = L(eta'), S'' = L(eta''):
 
 * Matching          S' and S'' are the same class; (half-twist, 1) in Gamma
 * DisjointPair      certified intersection 0;     (half-twist^2, 1)
@@ -171,18 +171,17 @@ def vanishing_label(P, gamma):
     """The cycle class attached to a conjugate of a generator.
 
     L(w x_i w^(-1)) = zeta(w)(c_i), found by twisting c_i along the letters
-    of w from the right.  Accepts a GeneratorConjugate or a FreeWord that
-    cyclically reduces to a positive generator.
+    of w from the right.  gamma is a FreeWord that cyclically reduces to a
+    positive generator; is_generator_conjugate finds i and w.
     """
-    if isinstance(gamma, FreeWord):
-        gc = is_generator_conjugate(gamma)
-        if gc is None:
-            raise ValueError("word %r is not a conjugate of a generator" % (word_to_str(gamma),))
-        gamma = gc
-    if gamma.conjugator.rank != P.r:
-        raise RankMismatch("generator conjugate rank does not match pencil size")
-    c = P.cycles[gamma.core - 1]
-    for l in reversed(gamma.conjugator.letters):
+    if gamma.rank != P.r:
+        raise RankMismatch("word rank %d does not match pencil size %d" % (gamma.rank, P.r))
+    decomposed = is_generator_conjugate(gamma)
+    if decomposed is None:
+        raise ValueError("word %r is not a conjugate of a generator" % (word_to_str(gamma),))
+    core, w = decomposed
+    c = P.cycles[core - 1]
+    for l in reversed(w.letters):
         c = act(P.twist(l), c)
     return c
 
@@ -352,12 +351,12 @@ def dual_singularity_braid(kind, a):
 def arc_key(a):
     """Canonical form of the supporting pair under simultaneous conjugation.
 
-    Both entries are conjugated by the inverse of the canonical conjugator
-    of eta', turning eta' into a bare generator.
+    Both words are conjugated by the inverse of the peeled prefix w of
+    eta' = w x_core w^(-1), turning eta' into the bare generator x_core.
     """
     eta1, eta2 = supporting_pair(a)
-    winv = eta1.conjugator.inverse()
-    return eta1.core, conjugate(eta2.word(), winv).letters
+    core, w = is_generator_conjugate(eta1)
+    return core, conjugate(eta2, w.inverse()).letters
 
 
 def _carrier_words(r, max_len):

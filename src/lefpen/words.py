@@ -22,6 +22,9 @@ artin_apply(b2, u))``.  All sign choices elsewhere (half-twist action on
 supporting pairs, Hurwitz rules) are anchored to this convention.  The
 product ``x_1 x_2 .. x_r`` is fixed by every braid.
 
+Conjugates w x_i w^(-1) of generators, an arc's supporting pair among them,
+are plain ``FreeWord``s; ``is_generator_conjugate`` peels off (i, w).
+
 Serialization: braid words are space-separated tokens ``s<i>`` / ``S<i>``
 (inverse), free words ``x<i>`` / ``X<i>``, ``<i>`` in ASCII digits.  The
 empty word serializes to the empty string.
@@ -114,9 +117,6 @@ class FreeWord:
     def inverse(self):
         return _new(FreeWord, rank=self.rank, letters=tuple(-l for l in reversed(self.letters)))
 
-    def is_identity(self):
-        return not self.letters
-
     def __len__(self):
         return len(self.letters)
 
@@ -142,24 +142,13 @@ def conjugate(u, g):
     return g * u * g.inverse()
 
 
-@dataclass(frozen=True)
-class GeneratorConjugate:
-    """A word of the form w x_i w^(-1), with the canonical conjugator w.
-
-    The conjugator is the prefix peeled off during cyclic reduction, which
-    makes the decomposition deterministic.
-    """
-
-    core: int
-    conjugator: FreeWord
-
-    def __post_init__(self):
-        if not 1 <= self.core <= self.conjugator.rank:
-            raise ValueError("core index %d out of range" % (self.core,))
-
-    def word(self):
-        w = self.conjugator
-        return _new(FreeWord, rank=w.rank, letters=_reduce(w.letters + (self.core,) + w.inverse().letters))
+def _peel(letters):
+    """(lo, hi) with letters[lo:hi] the cyclic reduction of freely reduced letters."""
+    lo, hi = 0, len(letters)
+    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
+        lo += 1
+        hi -= 1
+    return lo, hi
 
 
 def cyclic_reduce(u):
@@ -167,22 +156,18 @@ def cyclic_reduce(u):
 
     w collects the peeled prefix letters in order.
     """
-    letters = u.letters
-    lo, hi = 0, len(letters)
-    while hi - lo >= 2 and letters[lo] == -letters[hi - 1]:
-        lo += 1
-        hi -= 1
-    return _new(FreeWord, rank=u.rank, letters=letters[lo:hi]), _new(FreeWord, rank=u.rank, letters=letters[:lo])
+    lo, hi = _peel(u.letters)
+    return _new(FreeWord, rank=u.rank, letters=u.letters[lo:hi]), _new(FreeWord, rank=u.rank, letters=u.letters[:lo])
 
 
 def is_generator_conjugate(u):
-    """Decompose u as w x_i w^(-1), or return None.
+    """Decompose u as w x_i w^(-1): (i, w) with w the peeled prefix, or None.
 
     Succeeds iff the cyclic reduction of u is a single positive generator.
     """
-    core, w = cyclic_reduce(u)
-    if len(core.letters) == 1 and core.letters[0] > 0:
-        return GeneratorConjugate(core.letters[0], w)
+    lo, hi = _peel(u.letters)
+    if hi - lo == 1 and u.letters[lo] > 0:
+        return u.letters[lo], _new(FreeWord, rank=u.rank, letters=u.letters[:lo])
     return None
 
 
@@ -323,7 +308,7 @@ def half_twist(a):
 
 
 def supporting_pair(a):
-    """The supporting pair (eta', eta'') of the arc, as generator conjugates.
+    """The supporting pair (eta', eta'') of the arc, as words.
 
     eta'  = carrier . x_base
     eta'' = carrier . (x_base x_{base+1} x_base^(-1))
@@ -334,11 +319,9 @@ def supporting_pair(a):
     b = a.base
     eta1 = artin_apply(a.carrier, _new(FreeWord, rank=r, letters=(b,)))
     eta2 = artin_apply(a.carrier, _new(FreeWord, rank=r, letters=(b, b + 1, -b)))
-    g1 = is_generator_conjugate(eta1)
-    g2 = is_generator_conjugate(eta2)
-    if g1 is None or g2 is None:
+    if is_generator_conjugate(eta1) is None or is_generator_conjugate(eta2) is None:
         raise AssertionError("supporting pair left the set of generator conjugates")
-    return g1, g2
+    return eta1, eta2
 
 
 # --- serialization -------------------------------------------------------

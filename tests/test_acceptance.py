@@ -139,8 +139,7 @@ def test_criterion_3_kernel_elements_on_abab():
     for _ in range(100):
         carrier = Braid(4, [rng.choice([1, -1]) * rng.randint(1, 3) for _ in range(rng.randint(0, 6))])
         arc = Arc(rng.randint(1, 3), carrier)
-        e1, e2 = supporting_pair(arc)
-        w1, w2 = e1.word(), e2.word()
+        w1, w2 = supporting_pair(arc)
         tw = half_twist(arc)
         assert artin_apply(tw, w1) == w2
         assert artin_apply(tw**2, w1) == w2 * w1 * w2.inverse()

@@ -386,6 +386,34 @@ def test_numerical_reports_match_golden(capsys, argv, golden, code):
         assert capsys.readouterr().out == fh.read()
 
 
+@pytest.mark.parametrize(
+    "argv, golden, code",
+    [
+        (["matching", "pencil_torus_abab.json", "--max-len", "3"], "pencil_matching_torus_abab_len3.json", 0),
+        (
+            ["matching", "pencil_sp_g2_r4.json", "--max-len", "2", "--trust-algebraic"],
+            "pencil_matching_sp_g2_r4_len2_trust.json",
+            0,
+        ),
+        (["matching", "pencil_disc3_round.json", "--max-len", "2"], "pencil_matching_disc3_round_len2.json", 0),
+        # s1 moves x1 to x1 x2 X1, whose monodromy differs: the violation names that word
+        (
+            ["gamma-check", "pencil_torus_abab.json", "--auto", "auto_torus_abab_s1.json"],
+            "pencil_gamma_check_torus_abab_s1.json",
+            1,
+        ),
+    ],
+    ids=["matching-torus-abab", "matching-sp-trust", "matching-disc-round", "gamma-check-moved-word"],
+)
+def test_pencil_reports_match_golden(capsys, argv, golden, code):
+    # the golden files hold the reports of an earlier release, byte for byte
+    argv = [os.path.join(DATA, a) if a.endswith(".json") else a for a in argv]
+    assert main(["pencil"] + argv) == code
+    captured = capsys.readouterr()
+    with open(os.path.join(DATA, golden)) as fh:
+        assert captured.out == fh.read() and captured.err == ""
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["pencil", "validate", "x.json", "--frobnicate"])

@@ -21,12 +21,13 @@ from lefpen.words import (
     Arc,
     Braid,
     FreeWord,
-    GeneratorConjugate,
     RankMismatch,
     artin_apply,
     braid_from_str,
+    conjugate,
     cyclic_reduce,
     half_twist,
+    is_generator_conjugate,
     supporting_pair,
     word_from_str,
 )
@@ -256,19 +257,42 @@ def test_word_algebra_results_pass_the_public_constructor(data):
     i = data.draw(st.integers(1, r))
     j = data.draw(st.integers(i, r))
     # an arbitrary conjugator may end in the core or its inverse
-    conjugated = GeneratorConjugate(data.draw(st.integers(1, r)), u)
+    conjugated = conjugate(FreeWord.generator(r, data.draw(st.integers(1, r))), u)
     # a conjugate's first and last letters cancel across the factors of its powers
     power = (c * b * c.inverse()) ** data.draw(st.integers(-3, 3))
     built = [u * v, u.inverse(), b * c, b.inverse(), power, artin_apply(b, u)]
-    built += [*cyclic_reduce(u), conjugated.word(), half_twist(a), full_twist(r, i, j)]
+    built += [*cyclic_reduce(u), conjugated, half_twist(a), full_twist(r, i, j)]
     built += [img for _, img in b.action()]
-    for g in supporting_pair(a):
-        built += [g.conjugator, g.word()]
+    for eta in supporting_pair(a):
+        built += [eta, is_generator_conjugate(eta)[1]]
     built += _carrier_words(r, 2)
     for x in built:
         back = rebuilt_word(x)
         assert back.letters == x.letters and back == x
         assert isinstance(x, Braid) or hash(back) == hash(x)
+
+
+@LAWS
+@given(st.data())
+def test_generator_conjugate_decomposes_by_its_peeled_prefix(data):
+    # the decomposition is a function of the word: trailing x_i^(+-1) letters of w cancel into the core
+    r = data.draw(st.integers(1, 5))
+    w = data.draw(free_words(r, 8))
+    i = data.draw(st.integers(1, r))
+    stripped = w.letters
+    while stripped and abs(stripped[-1]) == i:
+        stripped = stripped[:-1]
+    assert is_generator_conjugate(conjugate(FreeWord.generator(r, i), w)) == (i, FreeWord(r, stripped))
+
+
+@LAWS
+@given(st.data())
+def test_supporting_pair_is_the_carrier_image_of_the_base_pair(data):
+    r = data.draw(st.integers(2, 5))
+    b = data.draw(st.integers(1, r - 1))
+    c = data.draw(braids(r, 6))
+    base_pair = (FreeWord(r, (b,)), FreeWord(r, (b, b + 1, -b)))
+    assert supporting_pair(Arc(b, c)) == tuple(artin_apply(c, eta) for eta in base_pair)
 
 
 LETTERS = "(allowed indices 1..2)"
@@ -286,8 +310,6 @@ BOUNDARY = {
     "braid-letter-float": (lambda: Braid(3, (2.0,)), ValueError, "invalid braid letter 2.0 " + LETTERS),
     "braid-letter-bool": (lambda: Braid(3, (2, True)), ValueError, "invalid braid letter True " + LETTERS),
     "braid-letter-parsed": (lambda: braid_from_str(3, "S3"), ValueError, "invalid braid letter -3 " + LETTERS),
-    "core-range": (lambda: GeneratorConjugate(3, FreeWord(2)), ValueError, "core index 3 out of range"),
-    "core-zero": (lambda: GeneratorConjugate(0, FreeWord(2)), ValueError, "core index 0 out of range"),
     "arc-base-range": (lambda: Arc(3, Braid(3)), ValueError, "arc base 3 out of range for 3 strands"),
     "arc-base-zero": (lambda: Arc(0, Braid(3)), ValueError, "arc base 0 out of range for 3 strands"),
     "free-mul": (lambda: FreeWord(2) * FreeWord(3), RankMismatch, "free words over different ranks: 2 vs 3"),
