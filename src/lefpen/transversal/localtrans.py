@@ -18,15 +18,12 @@ clear region's components in the w-disc, and an independent
 re-verification of every certificate on a finer grid.
 
 The w-disc never forms its all-pairs distance to the near-critical
-image.  A bucket grid of CELLS x CELLS square cells over the disc's
-points bounds each point's nearest distance by d - h and d + h, with d
-the nearest distance of its cell's centre and h the cell's
-half-diagonal.  Every bound is widened by the relative SLACK, so float
-rounding cannot exclude a target or a cell.  Two queries read the
-bounds: which points have an image within C sigma (only undecided cells
-compare their points), and which main-component point is farthest
-(exact distances only where a cell's upper bound reaches the best lower
-bound).  Both give the bits the all-pairs distance would.
+image.  _bounds bounds each point's nearest distance by d - h and d + h,
+with d the nearest distance of its cell's centre in a CELLS x CELLS
+bucket grid and h the cell's half-diagonal, widened by the relative SLACK
+so that float rounding cannot exclude a target or a cell.  _clear and
+_farthest compute exact distances only where the bounds leave the answer
+open, and give the bits the all-pairs distance would.
 """
 
 from __future__ import annotations
@@ -275,53 +272,33 @@ def _buckets(points):
     return cell, centres, half * (1.0 + SLACK)
 
 
-def _clear(points, targets, radius):
-    """The points with no target within the radius: the same bits as
-    _nearest_distance(points, targets) > radius, without the all-pairs distance.
-
-    With d = min |centre - target| per cell and h its half-diagonal, a cell
-    with d <= radius - h is blocked whole and one with d > radius + h is
-    clear whole (each bound widened by SLACK).  Only the cells in between
-    compare their points, with the same float expression, against the
-    targets within radius + h of their centre.
-    """
-    if not points.size:
-        return np.ones(0, dtype=bool)
+def _bounds(points, targets):
+    """(cell of each point, low, high): a cell's d - h and d + h, widened
+    by SLACK, bound the nearest distance of each of its points."""
     cell, centres, half = _buckets(points)
     near = _nearest_distance(centres, targets)
-    blocked = near <= radius * (1.0 - SLACK) - half
-    reach = (radius + half) * (1.0 + SLACK)
-    hit = blocked[cell]
-    todo = np.flatnonzero(~blocked & (near <= reach))
-    if todo.size:
-        order = np.argsort(cell, kind="stable")  # the points of cell k are order[starts[k] : starts[k] + counts[k]]
-        counts = np.bincount(cell, minlength=centres.size)
-        starts = np.cumsum(counts) - counts
-        cols = max(1, BLOCK_ENTRIES // todo.size)
-        per = max(1, BLOCK_ENTRIES // int(counts.max()))
-        for lo in range(0, targets.size, cols):
-            ci, ti = np.nonzero(np.abs(centres[todo, None] - targets[None, lo : lo + cols]) <= reach[todo, None])
-            for k in range(0, ci.size, per):  # each (cell, target) pair against every point of the cell
-                c, t = todo[ci[k : k + per]], lo + ti[k : k + per]
-                n = counts[c]
-                idx = order[np.repeat(starts[c] - np.cumsum(n) + n, n) + np.arange(n.sum())]
-                hit[idx[np.abs(points[idx] - np.repeat(targets[t], n)) <= radius]] = True
-    return ~hit
+    return cell, near * (1.0 - SLACK) - half, (near + half) * (1.0 + SLACK)
+
+
+def _clear(points, targets, radius):
+    """The points with no target within the radius: the same bits as
+    _nearest_distance(points, targets) > radius, computed exactly only in
+    the cells whose bounds straddle the radius."""
+    if not points.size:
+        return np.ones(0, dtype=bool)
+    cell, low, high = _bounds(points, targets)
+    out = (low > radius)[cell]
+    todo = np.flatnonzero(~out & (high > radius)[cell])
+    out[todo] = _nearest_distance(points[todo], targets) > radius
+    return out
 
 
 def _farthest(points, targets):
-    """The index of the first maximum of _nearest_distance(points, targets).
-
-    Each cell bounds its points' distances by d +- h, as in _clear.  The
-    exact distance is computed only in the cells whose upper bound reaches
-    the best lower bound; every tied maximum lies there, and a minimum over
-    all targets is the same float, so the first index wins, as in the
-    all-pairs argmax.
-    """
-    cell, centres, half = _buckets(points)
-    near = _nearest_distance(centres, targets)
-    low = near * (1.0 - SLACK) - half
-    high = (near + half) * (1.0 + SLACK)
+    """The index of the first maximum of _nearest_distance(points, targets),
+    exact only in the cells whose upper bound reaches the best lower bound:
+    every tied maximum lies there with the same float, so the first index
+    wins, as in the all-pairs argmax."""
+    cell, low, high = _bounds(points, targets)
     keep = np.flatnonzero((high >= np.max(low))[cell])
     return int(keep[np.argmax(_nearest_distance(points[keep], targets))])
 
@@ -332,12 +309,8 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     residual exceeds 1e-10.
 
     A w-disc point is free when no near-critical image lies within
-    C sigma: _clear blocks a cell whole at d <= C sigma - h, clears it
-    whole at d > C sigma + h, and otherwise compares each of its points
-    with |w - image| <= C sigma against the images within C sigma + h.
-    w0 is the first farthest point of the main component: _farthest
-    computes exact distances only in the cells with d + h at least the
-    best d - h.  Each bound is widened by the relative SLACK.
+    C sigma (_clear), and w0 is the first farthest point of the main
+    component (_farthest).
     """
     sigma = inst.sigma
     dp, dq = inst.p.deriv(), inst.q.deriv()

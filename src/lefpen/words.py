@@ -151,15 +151,6 @@ def _peel(letters):
     return lo, hi
 
 
-def cyclic_reduce(u):
-    """Return (core, w) with u == w * core * w^(-1) and core cyclically reduced.
-
-    w collects the peeled prefix letters in order.
-    """
-    lo, hi = _peel(u.letters)
-    return _new(FreeWord, rank=u.rank, letters=u.letters[lo:hi]), _new(FreeWord, rank=u.rank, letters=u.letters[:lo])
-
-
 def is_generator_conjugate(u):
     """Decompose u as w x_i w^(-1): (i, w) with w the peeled prefix, or None.
 

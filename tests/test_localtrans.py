@@ -367,13 +367,34 @@ def test_clear_targets_exactly_at_the_radius():
         _assert_matches_all_pairs(points, targets, radius)
 
 
-def test_clear_rim_targets_decided_by_rounding():
+def _rim_cases():
+    # both halves of the rim targets together, then the radius - h and the
+    # radius + h halves each on its own
     rng = np.random.default_rng(7)
     for res, delta in ((61, 0.1), (101, 0.37), (41, 3.0)):
         points = _disc_points(res, delta)
         for _ in range(8):
             radius = float(rng.uniform(0.05, 0.6)) * delta
-            _assert_matches_all_pairs(points, _rim_targets(points, radius), radius)
+            rim = _rim_targets(points, radius)
+            for targets in (rim, *np.split(rim, 2)):
+                yield points, targets, radius
+
+
+def test_clear_rim_targets_decided_by_rounding():
+    for points, targets, radius in _rim_cases():
+        _assert_matches_all_pairs(points, targets, radius)
+
+
+def test_rim_targets_need_the_slack(monkeypatch):
+    # without the widening, rounding puts some rim point on the wrong side
+    # of a cell bound, so the rim construction stays adversarial
+    monkeypatch.setattr(localtrans, "SLACK", 0.0)
+    differs = False
+    for points, targets, radius in _rim_cases():
+        dist = localtrans._nearest_distance(points, targets)
+        differs |= not np.array_equal(localtrans._clear(points, targets, radius), dist > radius)
+        differs |= localtrans._farthest(points, targets) != int(np.argmax(dist))
+    assert differs
 
 
 def test_farthest_tied_maxima_take_the_first_index():
@@ -435,9 +456,20 @@ def test_clear_and_farthest_match_all_pairs(res, targets, radius):
     _assert_matches_all_pairs(_disc_points(res, 1.0), targets, radius)
 
 
+@given(
+    res=st.integers(3, 40),
+    targets=arrays(complex, st.integers(0, 30), elements=st.complex_numbers(max_magnitude=2.0, allow_nan=False)),
+)
+def test_bounds_bracket_the_nearest_distance(res, targets):
+    points = _disc_points(res, 1.0)
+    cell, low, high = localtrans._bounds(points, targets)
+    dist = localtrans._nearest_distance(points, targets)
+    assert np.all(low[cell] <= dist) and np.all(dist <= high[cell])
+
+
 def test_find_good_w0_memory_stays_blocked():
-    # 118,690 near-critical images on the refined grid: every cells x targets
-    # and pair array is cut into BLOCK_ENTRIES blocks, so the traced peak
+    # 118,690 near-critical images on the refined grid: every points x
+    # targets array is cut into BLOCK_ENTRIES blocks, so the traced peak
     # stays near the grids' own size; one unblocked array would take GBs
     inst = random_instance(np.random.default_rng(0), delta=0.45, pexp=1)
     tracemalloc.start()

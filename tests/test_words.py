@@ -11,7 +11,6 @@ from lefpen.words import (
     braid_from_str,
     braid_to_str,
     conjugate,
-    cyclic_reduce,
     half_twist,
     is_generator_conjugate,
     supporting_pair,
@@ -76,11 +75,6 @@ def test_generator_conjugate_roundtrip_random():
         gc = is_generator_conjugate(u)
         assert gc is not None and gc[0] == i
         assert conjugate(FreeWord.generator(4, i), gc[1]) == u
-
-
-def test_cyclic_reduce():
-    core, w = cyclic_reduce(FreeWord(3, (1, 2, 3, -2, -1)))
-    assert core == FreeWord(3, (3,)) and w == FreeWord(3, (1, 2))
 
 
 def test_artin_generator_rules():
