@@ -43,7 +43,6 @@ from .words import (
     FreeWord,
     RankMismatch,
     _new,
-    artin_apply,
     braid_from_str,
     braid_to_str,
     conjugate,
@@ -195,12 +194,7 @@ def hurwitz_apply(b, P):
     """
     if b.strands != P.r:
         raise RankMismatch("braid strand count %d does not match pencil size %d" % (b.strands, P.r))
-    binv = b.inverse()
-    new_cycles = []
-    for i in range(1, P.r + 1):
-        w = artin_apply(binv, _new(FreeWord, rank=P.r, letters=(i,)))
-        new_cycles.append(vanishing_label(P, w))
-    return Pencil(P.fiber, new_cycles)
+    return Pencil(P.fiber, [vanishing_label(P, w) for w in b.inverse().action()])
 
 
 def in_gamma(A, P):
@@ -215,8 +209,7 @@ def in_gamma_detail(A, P):
     if A.g.model != P.fiber:
         raise ModelMismatch("automorphism fiber element lives in the wrong model")
     ginv = A.g.inverse()
-    for i in range(1, P.r + 1):
-        u = artin_apply(A.b, _new(FreeWord, rank=P.r, letters=(i,)))
+    for i, u in enumerate(A.b.action(), 1):
         lhs_elem = monodromy_of(P, u)
         rhs_elem = A.g * P.twist(i) * ginv
         if lhs_elem != rhs_elem:

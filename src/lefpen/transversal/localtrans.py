@@ -46,11 +46,6 @@ SLACK = 1e-9  # relative widening of every cell bound, far above float rounding
 class VerificationError(RuntimeError):
     """The selected w0 failed the brute-force transversality check."""
 
-    def __init__(self, message, failing_point=None, margins=None):
-        super().__init__(message)
-        self.failing_point = failing_point
-        self.margins = margins
-
 
 class CPoly:
     """The polynomial c0 + c1 z + c2 z^2 + ... in one complex variable."""
@@ -304,7 +299,7 @@ def _farthest(points, targets):
 
 
 def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
-    """One pass at the given grids: a TransversalityCertificate, or a dict
+    """One pass at the given grids: a TransversalityCertificate, or a string
     saying why none was found.  Raises VerificationError when the graph
     residual exceeds 1e-10.
 
@@ -318,7 +313,7 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     z = ball_grid(1.1, graph_resolution)
     w_graph, residual = _graph(inst.p, inst.q, z)
     if residual > 1e-10:
-        raise VerificationError("graph residual %g exceeds 1e-10" % residual, margins={"residual": residual})
+        raise VerificationError("graph residual %g exceeds 1e-10" % residual)
     l = np.abs(dp(z) - np.conj(w_graph) * dq(z))
     bad_images = w_graph[l <= C * sigma]
 
@@ -331,7 +326,7 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
 
     labels, count = _label_components(free)
     if count == 0:
-        return {"reason": "no clear region in the w-disc"}
+        return "no clear region in the w-disc"
     sizes = np.bincount(labels[free], minlength=count)
     main = int(np.argmax(sizes))
     clearance_area = float(sizes[main] * (axis[1] - axis[0]) ** 2)
@@ -344,9 +339,8 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     margin = eta_margin(s, ds)
     if margin < sigma:
         worst = int(np.argmin(np.maximum(s, ds)))
-        return dict(
-            w0=w0, margin=margin, clearance_area=clearance_area, residual=residual,
-            failing_point=complex(zv[worst]), failing_margins=(float(s[worst]), float(ds[worst])),
+        return "at z = %r, |s| = %r and |ds/dz| = %r are both below sigma = %r (w0 = %r)" % (
+            complex(zv[worst]), float(s[worst]), float(ds[worst]), sigma, w0
         )
     return TransversalityCertificate(
         w0=w0, margin=margin, sigma=sigma, clearance_area=clearance_area,
@@ -365,18 +359,14 @@ def find_good_w0(inst, graph_resolution=201, w_resolution=201, verify_resolution
     grid's 4-neighbour labelling) farthest from the C sigma-neighborhood of
     that image.  The returned certificate is validated by a brute-force
     transversality check at eta = sigma over the unit disc; one automatic
-    2x refinement is attempted before reporting failure.
+    2x refinement is attempted before failing with the refined pass's reason.
     """
     spec = (graph_resolution, w_resolution, verify_resolution)
     for grids in (spec, tuple(2 * r - 1 for r in spec)):
         result = _attempt(inst, *grids)
         if isinstance(result, TransversalityCertificate):
             return result
-    raise VerificationError(
-        "no sigma-transverse w0 found after refinement",
-        failing_point=result.get("failing_point"),
-        margins=result,
-    )
+    raise VerificationError("no sigma-transverse w0 found after refinement: " + result)
 
 
 def reverify(inst, cert):

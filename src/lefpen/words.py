@@ -9,7 +9,9 @@ same encoding, ``+i`` standing for the Artin generator ``s_i``
 Braid equality is decided through the faithful Artin action on the free
 group rather than through a normal form: two braid words are equal iff
 they act identically on the generators ``x_1 .. x_r``.  This keeps every
-downstream identity exact at desk scale.
+downstream identity exact at desk scale.  ``Braid.action()`` computes the
+images of ``x_1 .. x_r`` once per braid; supporting pairs, Hurwitz moves
+and stabilizer checks read them there.
 
 Convention.  The positive generator ``s_i`` acts by
 
@@ -69,18 +71,12 @@ def _is_integer(x):
 
 
 def _int_letters(letters, bound, what):
-    """The raw letters as ints, checked before reduction so that no bool or float cancels unseen."""
+    """The raw letters as ints, each checked before reduction so that no bad letter cancels unseen."""
     letters = tuple(letters)
     for l in letters:
-        if not _is_integer(l):
+        if not _is_integer(l) or l == 0 or abs(l) > bound:
             raise ValueError("invalid %s letter %r (allowed indices 1..%d)" % (what, l, bound))
     return tuple(map(int, letters))
-
-
-def _check_letters(letters, bound, what):
-    for l in letters:
-        if l == 0 or abs(l) > bound:
-            raise ValueError("invalid %s letter %r (allowed indices 1..%d)" % (what, l, bound))
 
 
 class FreeWord:
@@ -95,7 +91,6 @@ class FreeWord:
         if rank < 1:
             raise ValueError("rank must be positive")
         letters = _reduce(_int_letters(letters, rank, "free word"))
-        _check_letters(letters, rank, "free word")
         self.rank = rank
         self.letters = letters
 
@@ -175,10 +170,10 @@ class Braid:
     def __init__(self, strands, letters=()):
         if strands < 1:
             raise ValueError("strand count must be positive")
-        letters = _reduce(_int_letters(letters, strands - 1, "braid"))
+        letters = tuple(letters)
         if strands == 1 and letters:
             raise ValueError("B_1 is trivial")
-        _check_letters(letters, strands - 1, "braid")
+        letters = _reduce(_int_letters(letters, strands - 1, "braid"))
         self.strands = strands
         self.letters = letters
         self._action = None
@@ -206,14 +201,14 @@ class Braid:
         return _new(Braid, strands=self.strands, letters=_reduce(base.letters * abs(n)))
 
     def action(self):
-        """Images of x_1 .. x_r under this braid, as ((i, image), ...).
+        """Images (phi(x_1), .., phi(x_r)) of the generators, computed once per braid.
 
         This tuple is a faithful normal form: it backs ``__eq__`` and
         ``__hash__``.
         """
         if self._action is None:
             self._action = tuple(
-                (i, artin_apply(self, _new(FreeWord, rank=self.strands, letters=(i,))))
+                artin_apply(self, _new(FreeWord, rank=self.strands, letters=(i,)))
                 for i in range(1, self.strands + 1)
             )
         return self._action
@@ -306,10 +301,9 @@ def supporting_pair(a):
 
     so eta'' is the image of eta' under the arc's half-twist.
     """
-    r = a.strands
-    b = a.base
-    eta1 = artin_apply(a.carrier, _new(FreeWord, rank=r, letters=(b,)))
-    eta2 = artin_apply(a.carrier, _new(FreeWord, rank=r, letters=(b, b + 1, -b)))
+    img = a.carrier.action()
+    eta1 = img[a.base - 1]
+    eta2 = conjugate(img[a.base], eta1)
     if is_generator_conjugate(eta1) is None or is_generator_conjugate(eta2) is None:
         raise AssertionError("supporting pair left the set of generator conjugates")
     return eta1, eta2

@@ -195,6 +195,8 @@ def test_verify_localtrans(capsys):
         ["verify", "localtrans", "--seed", "1", "--trials", "3", "--kappa", "1e-3"],
         ["pencil", "validate", os.path.join(DATA, "pencil_disc3_arabic_indic_digit.json")],
         ["pencil", "hurwitz", os.path.join(DATA, "pencil_torus_abab.json"), "--braid", "s\u0663"],
+        ["pencil", "hurwitz", os.path.join(DATA, "pencil_torus_abab.json"), "--braid", "s7 S7"],
+        ["pencil", "hurwitz", os.path.join(DATA, "pencil_torus_abab.json"), "--braid", "s0 s0"],
     ],
     ids=[
         "cutoff-k-nan",
@@ -222,6 +224,8 @@ def test_verify_localtrans(capsys):
         "localtrans-kappa-degenerate-graph",
         "validate-disc-cycle-arabic-indic-digit",
         "hurwitz-braid-arabic-indic-digit",
+        "hurwitz-braid-cancelled-range",
+        "hurwitz-braid-cancelled-zero",
     ],
 )
 def test_bad_input_exits_2_with_one_error_line(capsys, argv):
@@ -248,11 +252,13 @@ BAD_PENCILS = {
     "disc-without-punctures": {"fiber": {"model": "disc"}, "cycles": ["x1 x2"]},
     "cycle-float": {"fiber": {"model": "torus"}, "cycles": [[1.5, 0], [0, 1]]},
     "cycle-bool": {"fiber": {"model": "torus"}, "cycles": [[True, 0], [0, 1]]},
+    "disc-cycle-cancelled-range": {"fiber": {"model": "disc", "punctures": 3}, "cycles": ["x9 X9 x1 x2"]},
 }
 BAD_AUTOS = {
     "braid-number": {"braid": 5, "fiber_element": [1, 0, 0, 1]},
     "matrix-float": {"braid": "s1", "fiber_element": [1.0, 0, 0, 1]},
     "matrix-not-symplectic": {"braid": "s1", "fiber_element": [2, 0, 0, 1]},
+    "braid-cancelled-range": {"braid": "s5 S5", "fiber_element": [1, 0, 0, 1]},
 }
 PENCIL_COMMANDS = {
     "validate": [],

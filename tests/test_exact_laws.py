@@ -261,7 +261,8 @@ def test_word_algebra_results_pass_the_public_constructor(data):
     power = (c * b * c.inverse()) ** data.draw(st.integers(-3, 3))
     built = [u * v, u.inverse(), b * c, b.inverse(), power, artin_apply(b, u)]
     built += [conjugated, half_twist(a), full_twist(r, i, j)]
-    built += [img for _, img in b.action()]
+    assert b.action() == tuple(artin_apply(b, FreeWord(r, (k,))) for k in range(1, r + 1))
+    built += b.action()
     for eta in supporting_pair(a):
         built += [eta, is_generator_conjugate(eta)[1]]
     built += _carrier_words(r, 2)
@@ -299,16 +300,20 @@ BOUNDARY = {
     "rank-zero": (lambda: FreeWord(0), ValueError, "rank must be positive"),
     "strands-zero": (lambda: Braid(0), ValueError, "strand count must be positive"),
     "b1-letter": (lambda: Braid(1, (1,)), ValueError, "B_1 is trivial"),
+    "b1-cancelled-letters": (lambda: Braid(1, (1, -1)), ValueError, "B_1 is trivial"),
     "free-letter-range": (lambda: FreeWord(2, (1, -3)), ValueError, "invalid free word letter -3 " + LETTERS),
     "free-letter-zero": (lambda: FreeWord(2, (0,)), ValueError, "invalid free word letter 0 " + LETTERS),
     "free-letter-float": (lambda: FreeWord(2, (1.0,)), ValueError, "invalid free word letter 1.0 " + LETTERS),
     "free-letter-bool": (lambda: FreeWord(2, (True, -1)), ValueError, "invalid free word letter True " + LETTERS),
     "free-letter-parsed": (lambda: word_from_str(2, "x3"), ValueError, "invalid free word letter 3 " + LETTERS),
+    "free-letter-cancelled-range": (lambda: FreeWord(2, (3, -3)), ValueError, "invalid free word letter 3 " + LETTERS),
+    "free-letter-cancelled-zero": (lambda: FreeWord(2, (0, 0)), ValueError, "invalid free word letter 0 " + LETTERS),
     "braid-letter-range": (lambda: Braid(3, (3,)), ValueError, "invalid braid letter 3 " + LETTERS),
     "braid-letter-zero": (lambda: Braid(3, (0,)), ValueError, "invalid braid letter 0 " + LETTERS),
     "braid-letter-float": (lambda: Braid(3, (2.0,)), ValueError, "invalid braid letter 2.0 " + LETTERS),
     "braid-letter-bool": (lambda: Braid(3, (2, True)), ValueError, "invalid braid letter True " + LETTERS),
     "braid-letter-parsed": (lambda: braid_from_str(3, "S3"), ValueError, "invalid braid letter -3 " + LETTERS),
+    "braid-letter-cancelled": (lambda: braid_from_str(3, "s3 S3"), ValueError, "invalid braid letter 3 " + LETTERS),
     "arc-base-range": (lambda: Arc(3, Braid(3)), ValueError, "arc base 3 out of range for 3 strands"),
     "arc-base-zero": (lambda: Arc(0, Braid(3)), ValueError, "arc base 0 out of range for 3 strands"),
     "free-mul": (lambda: FreeWord(2) * FreeWord(3), RankMismatch, "free words over different ranks: 2 vs 3"),

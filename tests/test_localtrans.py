@@ -209,8 +209,22 @@ def test_find_good_w0_failure_reports():
     # sit inside the dangerous neighborhood: no clear region exists
     p = CPoly([0.0, 4e-4])
     inst = LocalTransInstance(p, CPoly([0.0]), 0.2, 1e-3, 1)
-    with pytest.raises(VerificationError):
+    reason = "^no sigma-transverse w0 found after refinement: no clear region in the w-disc$"
+    with pytest.raises(VerificationError, match=reason):
         find_good_w0(inst, graph_resolution=81, w_resolution=41, verify_resolution=81)
+
+
+def test_find_good_w0_margin_failure_names_both_sides(monkeypatch):
+    # with no neighborhood every image is clear, so w0 is the first disc point -0.1;
+    # p - w0 = z^2 then has its critical zero at z = 0, where |s| and |ds/dz| both vanish
+    monkeypatch.setattr(localtrans, "C", -1.0)
+    inst = LocalTransInstance(CPoly([-0.1, 0, 1.0]), CPoly([0.0]), 0.2, 0.1, 2)
+    with pytest.raises(VerificationError) as failure:
+        find_good_w0(inst)
+    assert str(failure.value) == (
+        "no sigma-transverse w0 found after refinement: at z = 0j, |s| = 0.0 and |ds/dz| = 0.0"
+        " are both below sigma = %r (w0 = (-0.1+0j))" % inst.sigma
+    )
 
 
 def test_seeded_trials_success_rate():

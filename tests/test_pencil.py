@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import lefpen.pencil
+import lefpen.words
 from lefpen.words import Arc, Braid, FreeWord, braid_to_str, word_from_str
 from lefpen.fiber import (
     Cycle,
@@ -424,6 +425,16 @@ MATCHING_ROWS = {(3, 2): 19, (4, 2): 38, (4, 3): 110, (4, 4): 320, (5, 3): 188, 
 def test_matching_row_counts(r, max_len):
     P = Pencil(T, ((A, B) * 3)[:r])
     assert len(enumerate_arcs(P, max_len)) == MATCHING_ROWS[r, max_len]
+
+
+@pytest.mark.parametrize("max_len", [2, 3, 4])
+def test_enumerate_arcs_walks_each_carrier_once(monkeypatch, max_len):
+    # every base of a carrier reads the carrier's action: r walks per carrier, none per arc
+    walks = []
+    walk = lefpen.words.artin_apply
+    monkeypatch.setattr(lefpen.words, "artin_apply", lambda b, u: walks.append(b) or walk(b, u))
+    enumerate_arcs(P_ABAB, max_len)
+    assert len(walks) == P_ABAB.r * len(list(_carrier_words(P_ABAB.r, max_len)))
 
 
 SKIP_RULES = {
