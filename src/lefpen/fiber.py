@@ -220,21 +220,15 @@ def _disc_fields(n, letters, support):
     word; a round range word presents itself when none is given."""
     word = _new(FreeWord, rank=n, letters=_canonical_cyclic(letters))
     rng = _as_range(word.letters) if support is None else None
-    return word, (Braid.identity(n), rng) if rng else support
+    return word, (Braid(n), rng) if rng else support
 
 
 def _as_range(letters):
-    """Recognize x_i x_{i+1} .. x_j (up to the stored canonical form)."""
-    if not letters or any(l < 0 for l in letters):
-        return None
-    idx = sorted(letters)
-    lo, hi = idx[0], idx[-1]
-    if idx != list(range(lo, hi + 1)):
-        return None
-    # the canonical rotation of the ascending range word is the word itself
-    if list(letters) != list(range(lo, hi + 1)):
-        return None
-    return (lo, hi)
+    """(i, j) if letters are x_i x_{i+1} .. x_j, else None.  The canonical
+    rotation of an ascending range word is the word itself."""
+    if letters and letters[0] > 0 and letters == tuple(range(letters[0], letters[0] + len(letters))):
+        return letters[0], letters[-1]
+    return None
 
 
 def standard_curve(model, i, j):
@@ -272,7 +266,7 @@ class FiberElement:
     @classmethod
     def identity(cls, model):
         if model.kind == DISC:
-            return _new(cls, model=model, braid=Braid.identity(model.punctures))
+            return _new(cls, model=model, braid=Braid(model.punctures))
         d = model.dim
         return _new(cls, model=model, matrix=tuple(tuple(int(i == j) for j in range(d)) for i in range(d)))
 

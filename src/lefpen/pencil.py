@@ -42,7 +42,12 @@ from .words import (
     Braid,
     FreeWord,
     RankMismatch,
+    _core_at,
+    _inverse,
+    _join,
     _new,
+    _pair_letters,
+    _step,
     braid_from_str,
     braid_to_str,
     conjugate,
@@ -194,7 +199,12 @@ def hurwitz_apply(b, P):
     """
     if b.strands != P.r:
         raise RankMismatch("braid strand count %d does not match pencil size %d" % (b.strands, P.r))
-    return Pencil(P.fiber, [vanishing_label(P, w) for w in b.inverse().action()])
+    return _relabel(P, b.inverse().action())
+
+
+def _relabel(P, img):
+    """The pencil of the labels of img: the move by b when img is b^(-1)'s action."""
+    return Pencil(P.fiber, [vanishing_label(P, w) for w in img])
 
 
 def in_gamma(A, P):
@@ -353,25 +363,24 @@ def arc_key(a):
 
 
 def _carrier_words(r, max_len):
-    """Carrier braids of length <= max_len in normal form, in length, then
-    product order over the letters s1 S1 s2 S2 ...
+    """Nodes (letters, raw images of x_1 .. x_r) of the normal-form carrier
+    words of length <= max_len, in length, then product order over s1 S1 s2 ...
 
-    Each level extends the words kept at the level before, so a word comes
-    out only if all its prefixes did.  Two kinds of word are skipped, each
-    the same braid as a word that comes earlier: one whose last letter
-    cancels the letter before it (it reduces to a shorter word), and one
-    whose last two letters are s_i^±, s_j^± with i - j >= 2 (they commute,
-    and the swapped word comes first in product order).
+    Each level extends the nodes kept at the level before, so a word comes out
+    only if all its prefixes did, with its parent's images advanced by _step.
+    Two kinds of word are skipped, each the same braid as a word that comes
+    earlier: one whose last letter cancels the letter before it (it reduces to
+    a shorter word), and one whose last two letters are s_i^±, s_j^± with
+    i - j >= 2 (they commute, and the swapped word comes first in product order).
     """
     gens = [l for i in range(1, r) for l in (i, -i)]
-    level = [()]
+    level = [((), tuple((i,) for i in range(1, r + 1)))]
     for length in range(max_len + 1):
-        for word in level:
-            yield _new(Braid, strands=r, letters=word)
+        yield from level
         if length < max_len:
             level = [
-                w + (l,)
-                for w in level
+                (w + (l,), _step(img, l))
+                for w, img in level
                 for l in gens
                 if not w or (l != -w[-1] and abs(w[-1]) - abs(l) < 2)
             ]
@@ -385,22 +394,22 @@ def enumerate_arcs(P, max_carrier_len):
     freely reduced or ending in a far-commuting pair out of order), an arc on
     base b whose carrier ends in s_j^± with |j - b| >= 2 is skipped: that
     letter fixes x_b and x_{b+1}, so the arc has the supporting pair of
-    the carrier without it.  Skipping is by word only, never by key.
+    the carrier without it.  Skipping is by word only, never by key.  Pairs
+    and keys are read off each node's images; kept carriers carry them preset.
     """
     if max_carrier_len < 0:
         raise ValueError("carrier length bound must be >= 0")
-    seen = set()
-    out = []
-    for carrier in _carrier_words(P.r, max_carrier_len):
-        last = abs(carrier.letters[-1]) if carrier.letters else None
+    seen, out = set(), []
+    for word, img in _carrier_words(P.r, max_carrier_len):
         for base in range(1, P.r):
-            if last is not None and abs(last - base) >= 2:
+            if word and abs(abs(word[-1]) - base) >= 2:
                 continue
-            a = Arc(base, carrier)
-            key = arc_key(a)
+            eta1, eta2 = _pair_letters(img, base)
+            lo = _core_at(eta1)
+            key = eta1[lo], _join(_join(_inverse(eta1[:lo]), eta2), eta1[:lo])
             if key not in seen:
                 seen.add(key)
-                out.append(a)
+                out.append(Arc(base, _new(Braid, strands=P.r, letters=word, _action=img)))
     return out
 
 
@@ -456,8 +465,9 @@ def kernel_orbit(a, P, gens, depth, trust_algebraic=False):
 
 def hurwitz_orbit(P, depth):
     """Closure of a pencil under elementary Hurwitz moves, up to given depth."""
-    moves = [Braid.generator(P.r, i, e) for i in range(1, P.r) for e in (1, -1)]
-    return set(_closure(P, lambda cur: (hurwitz_apply(b, cur) for b in moves), depth, lambda Q: Q))
+    # the moves s_i^e; their inverses s_i^-e are the same set, acted once each
+    inverses = [Braid.generator(P.r, i, -e).action() for i in range(1, P.r) for e in (1, -1)]
+    return set(_closure(P, lambda cur: (_relabel(cur, img) for img in inverses), depth, lambda Q: Q))
 
 
 # --- files ----------------------------------------------------------------

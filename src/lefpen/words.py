@@ -9,9 +9,9 @@ same encoding, ``+i`` standing for the Artin generator ``s_i``
 Braid equality is decided through the faithful Artin action on the free
 group rather than through a normal form: two braid words are equal iff
 they act identically on the generators ``x_1 .. x_r``.  This keeps every
-downstream identity exact at desk scale.  ``Braid.action()`` computes the
-images of ``x_1 .. x_r`` once per braid; supporting pairs, Hurwitz moves
-and stabilizer checks read them there.
+downstream identity exact at desk scale.  A braid's images of ``x_1 .. x_r``
+fold ``_step`` over its letters, once per braid, as the arc enumerator folds
+it down its carrier tree; pairs, Hurwitz moves and stabilizer checks read them.
 
 Convention.  The positive generator ``s_i`` acts by
 
@@ -40,6 +40,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import reduce
+from operator import neg
 
 
 class RankMismatch(ValueError):
@@ -55,6 +57,18 @@ def _reduce(letters):
         else:
             out.append(l)
     return tuple(out)
+
+
+def _inverse(letters):
+    return tuple(map(neg, reversed(letters)))
+
+
+def _join(u, v):
+    """Free reduction of u v for freely reduced u and v: only the seam cancels."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == -v[k]:
+        k += 1
+    return u[:len(u) - k] + v[k:]
 
 
 def _new(cls, **fields):
@@ -95,10 +109,6 @@ class FreeWord:
         self.letters = letters
 
     @classmethod
-    def identity(cls, rank):
-        return cls(rank, ())
-
-    @classmethod
     def generator(cls, rank, i, exponent=1):
         return cls(rank, (i if exponent > 0 else -i,))
 
@@ -107,10 +117,10 @@ class FreeWord:
             return NotImplemented
         if self.rank != other.rank:
             raise RankMismatch("free words over different ranks: %d vs %d" % (self.rank, other.rank))
-        return _new(FreeWord, rank=self.rank, letters=_reduce(self.letters + other.letters))
+        return _new(FreeWord, rank=self.rank, letters=_join(self.letters, other.letters))
 
     def inverse(self):
-        return _new(FreeWord, rank=self.rank, letters=tuple(-l for l in reversed(self.letters)))
+        return _new(FreeWord, rank=self.rank, letters=_inverse(self.letters))
 
     def __len__(self):
         return len(self.letters)
@@ -146,15 +156,19 @@ def _peel(letters):
     return lo, hi
 
 
+def _core_at(letters):
+    """lo with letters = w x_i w^(-1), w = letters[:lo] and i = letters[lo] > 0, or None."""
+    lo, hi = _peel(letters)
+    return lo if hi - lo == 1 and letters[lo] > 0 else None
+
+
 def is_generator_conjugate(u):
     """Decompose u as w x_i w^(-1): (i, w) with w the peeled prefix, or None.
 
     Succeeds iff the cyclic reduction of u is a single positive generator.
     """
-    lo, hi = _peel(u.letters)
-    if hi - lo == 1 and u.letters[lo] > 0:
-        return u.letters[lo], _new(FreeWord, rank=u.rank, letters=u.letters[:lo])
-    return None
+    lo = _core_at(u.letters)
+    return None if lo is None else (u.letters[lo], _new(FreeWord, rank=u.rank, letters=u.letters[:lo]))
 
 
 class Braid:
@@ -179,10 +193,6 @@ class Braid:
         self._action = None
 
     @classmethod
-    def identity(cls, strands):
-        return cls(strands, ())
-
-    @classmethod
     def generator(cls, strands, i, exponent=1):
         return cls(strands, (i if exponent > 0 else -i,))
 
@@ -191,27 +201,27 @@ class Braid:
             return NotImplemented
         if self.strands != other.strands:
             raise RankMismatch("braids on different strand counts: %d vs %d" % (self.strands, other.strands))
-        return _new(Braid, strands=self.strands, letters=_reduce(self.letters + other.letters))
+        return _new(Braid, strands=self.strands, letters=_join(self.letters, other.letters))
 
     def inverse(self):
-        return _new(Braid, strands=self.strands, letters=tuple(-l for l in reversed(self.letters)))
+        return _new(Braid, strands=self.strands, letters=_inverse(self.letters))
 
     def __pow__(self, n):
         base = self if n >= 0 else self.inverse()
         return _new(Braid, strands=self.strands, letters=_reduce(base.letters * abs(n)))
 
-    def action(self):
-        """Images (phi(x_1), .., phi(x_r)) of the generators, computed once per braid.
+    def _images(self):
+        """Raw images of x_1 .. x_r, the fold of _step over the letters, once per braid.
 
-        This tuple is a faithful normal form: it backs ``__eq__`` and
-        ``__hash__``.
+        They are a faithful normal form: they back ``__eq__`` and ``__hash__``.
         """
         if self._action is None:
-            self._action = tuple(
-                artin_apply(self, _new(FreeWord, rank=self.strands, letters=(i,)))
-                for i in range(1, self.strands + 1)
-            )
+            self._action = reduce(_step, self.letters, tuple((i,) for i in range(1, self.strands + 1)))
         return self._action
+
+    def action(self):
+        """Images (phi(x_1), .., phi(x_r)) of the generators, as words."""
+        return tuple(_new(FreeWord, rank=self.strands, letters=u) for u in self._images())
 
     def __eq__(self, other):
         if not isinstance(other, Braid):
@@ -220,10 +230,10 @@ class Braid:
             return False
         if self.letters == other.letters:
             return True
-        return self.action() == other.action()
+        return self._images() == other._images()
 
     def __hash__(self):
-        return hash((self.strands, self.action()))
+        return hash((self.strands, self._images()))
 
     def __repr__(self):
         return "Braid(%d, %r)" % (self.strands, list(self.letters))
@@ -246,6 +256,15 @@ def _letter_image(s, l):
     return img
 
 
+def _step(img, s):
+    """Raw images of x_1 .. x_r under w s from their images img under w:
+    phi_{w s}(x_i) = phi_w(phi_s(x_i)), which moves only i = |s|, |s| + 1."""
+    out = list(img)
+    for i in (abs(s), abs(s) + 1):
+        out[i - 1] = reduce(_join, [img[t - 1] if t > 0 else _inverse(img[-t - 1]) for t in _letter_image(s, i)])
+    return tuple(out)
+
+
 def artin_apply(b, u):
     """Apply the Artin automorphism of the braid b to the free word u.
 
@@ -256,14 +275,7 @@ def artin_apply(b, u):
         raise RankMismatch("braid on %d strands cannot act on F_%d" % (b.strands, u.rank))
     letters = u.letters
     for s in reversed(b.letters):
-        out = []
-        for l in letters:
-            for t in _letter_image(s, l):
-                if out and out[-1] == -t:
-                    out.pop()
-                else:
-                    out.append(t)
-        letters = tuple(out)
+        letters = _reduce([t for l in letters for t in _letter_image(s, l)])
     return _new(FreeWord, rank=u.rank, letters=letters)
 
 
@@ -301,10 +313,14 @@ def supporting_pair(a):
 
     so eta'' is the image of eta' under the arc's half-twist.
     """
-    img = a.carrier.action()
-    eta1 = img[a.base - 1]
-    eta2 = conjugate(img[a.base], eta1)
-    if is_generator_conjugate(eta1) is None or is_generator_conjugate(eta2) is None:
+    return tuple(_new(FreeWord, rank=a.strands, letters=eta) for eta in _pair_letters(a.carrier._images(), a.base))
+
+
+def _pair_letters(img, base):
+    """Raw (eta', eta'') of the arc on base, from its carrier's raw images img."""
+    eta1 = img[base - 1]
+    eta2 = _join(_join(eta1, img[base]), _inverse(eta1))
+    if _core_at(eta1) is None or _core_at(eta2) is None:
         raise AssertionError("supporting pair left the set of generator conjugates")
     return eta1, eta2
 

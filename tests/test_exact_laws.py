@@ -9,6 +9,7 @@ through the public constructors, and the boundary table keeps their checks.
 """
 
 import json
+import os
 import re
 from math import gcd
 
@@ -22,6 +23,7 @@ from lefpen.words import (
     Braid,
     FreeWord,
     RankMismatch,
+    _step,
     artin_apply,
     braid_from_str,
     conjugate,
@@ -45,16 +47,19 @@ from lefpen.fiber import (
 from lefpen.pencil import (
     Automorphism,
     Pencil,
-    _carrier_words,
+    _closure,
     automorphism_from_json,
     automorphism_to_json,
+    enumerate_arcs,
     hurwitz_apply,
+    hurwitz_orbit,
     pencil_from_json,
     pencil_to_json,
     vanishing_label,
 )
 
 LAWS = settings(deadline=None, max_examples=40)
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def braids(strands, max_len):
@@ -265,11 +270,35 @@ def test_word_algebra_results_pass_the_public_constructor(data):
     built += b.action()
     for eta in supporting_pair(a):
         built += [eta, is_generator_conjugate(eta)[1]]
-    built += _carrier_words(r, 2)
+    torus = FiberModel.torus()
+    for a in enumerate_arcs(Pencil(torus, [Cycle(torus, vector=(1, 0))] * r), 2):
+        built += [a.carrier, *a.carrier.action()]
     for x in built:
         back = rebuilt_word(x)
         assert back.letters == x.letters and back == x
         assert isinstance(x, Braid) or hash(back) == hash(x)
+
+
+@LAWS
+@given(st.data())
+def test_one_step_composes_the_action(data):
+    # phi_{w l} = phi_w o phi_l: one step from w's images gives the images of w * l
+    r = data.draw(st.integers(2, 5))
+    w = data.draw(braids(r, 8))
+    l = data.draw(st.integers(1, r - 1)) * data.draw(st.sampled_from([1, -1]))
+    stepped = _step(tuple(u.letters for u in w.action()), l)
+    wl = w * Braid(r, (l,))
+    assert stepped == tuple(u.letters for u in wl.action())
+    assert stepped == tuple(artin_apply(wl, FreeWord(r, (k,))).letters for k in range(1, r + 1))
+
+
+@pytest.mark.parametrize("name", ["pencil_torus_abab.json", "pencil_sp_g2_r4.json", "pencil_disc3_round.json"])
+def test_hurwitz_orbit_is_the_closure_of_hurwitz_apply(name):
+    with open(os.path.join(DATA, name)) as fh:
+        P = pencil_from_json(json.load(fh))
+    moves = [Braid.generator(P.r, i, e) for i in range(1, P.r) for e in (1, -1)]
+    reached = _closure(P, lambda cur: (hurwitz_apply(b, cur) for b in moves), 3, lambda Q: Q)
+    assert hurwitz_orbit(P, 3) == set(reached)
 
 
 @LAWS

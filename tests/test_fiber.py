@@ -186,7 +186,7 @@ def test_disc_canonical_cyclic_words():
 def test_disc_dehn_twist_range_curves():
     m = FiberModel.disc(3)
     assert dehn_twist(standard_curve(m, 1, 2)).braid == full_twist(3, 1, 2)
-    assert dehn_twist(standard_curve(m, 2, 2)).braid == Braid.identity(3)
+    assert dehn_twist(standard_curve(m, 2, 2)).braid == Braid(3)
     assert full_twist(3, 1, 3) == Braid(3, (1, 2)) ** 3
     # the twist fixes its own cycle in the disc model too
     for i, j in [(1, 2), (2, 3), (1, 3)]:
@@ -269,7 +269,7 @@ def test_intersection_symmetry():
 def test_support_consistency_enforced():
     m = FiberModel.disc(3)
     with pytest.raises(ValueError):
-        Cycle(m, word=(1,), support=(Braid.identity(3), (2, 3)))
+        Cycle(m, word=(1,), support=(Braid(3), (2, 3)))
 
 
 def test_model_mismatch():

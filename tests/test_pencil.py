@@ -6,7 +6,7 @@ import pytest
 
 import lefpen.pencil
 import lefpen.words
-from lefpen.words import Arc, Braid, FreeWord, braid_to_str, word_from_str
+from lefpen.words import Arc, Braid, FreeWord, artin_apply, braid_to_str, word_from_str
 from lefpen.fiber import (
     Cycle,
     FiberElement,
@@ -91,7 +91,7 @@ def rand_disc_pencil(g):
 
 def test_monodromy_of_generators_and_identity():
     assert monodromy_of(P_AB, FreeWord.generator(2, 1)) == dehn_twist(A)
-    assert monodromy_of(P_AB, FreeWord.identity(2)) == FiberElement.identity(T)
+    assert monodromy_of(P_AB, FreeWord(2)) == FiberElement.identity(T)
     got = monodromy_of(P_AB, FreeWord(2, (1, 2)))
     assert got.matrix == ((0, -1), (1, 1))
 
@@ -127,7 +127,7 @@ def test_hurwitz_generator_rule():
     Q = hurwitz_apply(Braid.generator(2, 1), P_AB)
     assert Q.cycles[0] == B
     assert Q.cycles[1] == Cycle(T, vector=(1, -1))
-    assert hurwitz_apply(Braid.identity(2), P_AB) == P_AB
+    assert hurwitz_apply(Braid(2), P_AB) == P_AB
 
 
 def test_hurwitz_rule_general():
@@ -160,7 +160,7 @@ def test_hurwitz_composition():
 
 
 def test_in_gamma_trivial_and_examples():
-    assert in_gamma(Automorphism(Braid.identity(2), FiberElement.identity(T)), P_AB)
+    assert in_gamma(Automorphism(Braid(2), FiberElement.identity(T)), P_AB)
     matching = Automorphism(Braid(4, (-2, 1, 2)), FiberElement.identity(T))
     assert in_gamma(matching, P_ABAB)
     assert not in_gamma(Automorphism(Braid.generator(2, 1), FiberElement.identity(T)), P_AB)
@@ -428,13 +428,24 @@ def test_matching_row_counts(r, max_len):
 
 
 @pytest.mark.parametrize("max_len", [2, 3, 4])
-def test_enumerate_arcs_walks_each_carrier_once(monkeypatch, max_len):
-    # every base of a carrier reads the carrier's action: r walks per carrier, none per arc
+def test_enumerate_arcs_reads_actions_off_the_carrier_tree(monkeypatch, max_len):
+    # carriers inherit their images from the tree: no walk, and each kept
+    # carrier's preset action is the walked one
     walks = []
     walk = lefpen.words.artin_apply
     monkeypatch.setattr(lefpen.words, "artin_apply", lambda b, u: walks.append(b) or walk(b, u))
-    enumerate_arcs(P_ABAB, max_len)
-    assert len(walks) == P_ABAB.r * len(list(_carrier_words(P_ABAB.r, max_len)))
+    arcs = enumerate_arcs(P_ABAB, max_len)
+    assert walks == []
+    assert all(a.carrier._action is not None for a in arcs)
+    monkeypatch.undo()
+    r = P_ABAB.r
+    keys = set()
+    for a in arcs:
+        fresh = Braid(r, a.carrier.letters)
+        assert a.carrier.action() == tuple(artin_apply(fresh, FreeWord(r, (i,))) for i in range(1, r + 1))
+        assert arc_key(a) == arc_key(Arc(a.base, fresh))
+        keys.add(arc_key(a))
+    assert len(keys) == len(arcs)
 
 
 SKIP_RULES = {
@@ -461,7 +472,8 @@ def test_each_skip_rule_drops_only_keys_reached_earlier(rule):
 
 
 def test_carrier_words_are_normal_and_prefix_closed():
-    words = [b.letters for b in _carrier_words(4, 5)]
+    nodes = list(_carrier_words(4, 5))
+    words = [w for w, _ in nodes]
     assert len(words) == 2583
     assert sum(len(w) == 5 for w in words) == 1974
     assert len(set(words)) == len(words)
@@ -470,6 +482,8 @@ def test_carrier_words_are_normal_and_prefix_closed():
             assert x != -y and abs(x) - abs(y) < 2, w
     yielded = set(words)
     assert all(w[:-1] in yielded for w in words if w)
+    for w, img in nodes:
+        assert img == tuple(artin_apply(Braid(4, w), FreeWord(4, (i,))).letters for i in range(1, 5)), w
 
 
 def test_empty_pencil_and_r1():
