@@ -17,7 +17,6 @@ from .words import (
     artin_apply,
     braid_from_str,
     braid_to_str,
-    conjugate,
     half_twist,
     is_generator_conjugate,
     supporting_pair,

@@ -232,7 +232,8 @@ def _as_range(letters):
 
 
 def standard_curve(model, i, j):
-    """The round curve enclosing punctures i..j of a disc fiber."""
+    """The round curve enclosing punctures i..j of a disc fiber.  Only tests
+    call it, tests/test_fiber.py::test_disc_dehn_twist_range_curves among them."""
     if model.kind != DISC:
         raise ModelMismatch("standard_curve lives in the disc model")
     if not 1 <= i <= j <= model.punctures:

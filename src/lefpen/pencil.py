@@ -50,7 +50,6 @@ from .words import (
     _step,
     braid_from_str,
     braid_to_str,
-    conjugate,
     half_twist,
     is_generator_conjugate,
     supporting_pair,
@@ -85,6 +84,10 @@ OTHER = "Other"
 NODE = "node"
 CUSP = "cusp"
 TANGENCY = "tangency"
+
+# The paper's correspondence: dual-curve singularity -> (class of the arc around it, power of
+# the arc's half-twist that is both the singularity's braid monodromy and the arc's automorphism)
+SINGULARITIES = {TANGENCY: (MATCHING, 1), NODE: (DISJOINT_PAIR, 2), CUSP: (ONCE_INTERSECTING, 3)}
 
 
 class HypothesisError(ValueError):
@@ -287,7 +290,7 @@ def automorphism_from_arc(a, P, trust_algebraic=False):
     before returning.
     """
     cls = classify_arc(a, P, trust_algebraic=trust_algebraic)
-    power = {MATCHING: 1, DISJOINT_PAIR: 2, ONCE_INTERSECTING: 3}.get(cls.kind)
+    power = dict(SINGULARITIES.values()).get(cls.kind)
     if power is None:
         raise ValueError("arc classifies as %s; no automorphism attached" % (cls,))
     A = Automorphism(half_twist(a) ** power, FiberElement.identity(P.fiber))
@@ -306,7 +309,8 @@ def base_twist_automorphism(a, d, P):
     range curve); (ii) S'' is the image of S' under the base half-twist.
     The construction also verifies that twisting twice along delta and
     once about S'' returns S' to itself (the four-punctured-sphere
-    relation behind the hypothesis), then asserts membership.
+    relation behind the hypothesis), then asserts membership.  Only tests call
+    it: tests/test_acceptance.py::test_criterion_4_lantern_and_base_twist and others.
     """
     if P.fiber.kind != DISC:
         raise ModelMismatch("base twists need a disc fiber")
@@ -341,12 +345,13 @@ def base_twist_automorphism(a, d, P):
 def dual_singularity_braid(kind, a):
     """Local braid monodromy of a dual-curve singularity around the arc.
 
-    node -> half-twist squared, cusp -> cubed, tangency -> the half-twist.
+    node -> half-twist squared, cusp -> cubed, tangency -> the half-twist, as
+    in SINGULARITIES.  Only tests call it: tests/test_pencil.py::test_dual_singularity_braid
+    and tests/test_pencil.py::test_singularity_table_matches_automorphisms.
     """
-    power = {NODE: 2, CUSP: 3, TANGENCY: 1}.get(kind)
-    if power is None:
+    if kind not in SINGULARITIES:
         raise ValueError("unknown singularity kind %r" % (kind,))
-    return half_twist(a) ** power
+    return half_twist(a) ** SINGULARITIES[kind][1]
 
 
 # --- enumeration and orbits ----------------------------------------------
@@ -357,9 +362,14 @@ def arc_key(a):
     Both words are conjugated by the inverse of the peeled prefix w of
     eta' = w x_core w^(-1), turning eta' into the bare generator x_core.
     """
-    eta1, eta2 = supporting_pair(a)
-    core, w = is_generator_conjugate(eta1)
-    return core, conjugate(eta2, w.inverse()).letters
+    return _key(a.carrier._images(), a.base)
+
+
+def _key(img, base):
+    """arc_key of the arc on base whose carrier has the raw images img."""
+    eta1, eta2 = _pair_letters(img, base)
+    lo = _core_at(eta1)
+    return eta1[lo], _join(_join(_inverse(eta1[:lo]), eta2), eta1[:lo])
 
 
 def _carrier_words(r, max_len):
@@ -404,9 +414,7 @@ def enumerate_arcs(P, max_carrier_len):
         for base in range(1, P.r):
             if word and abs(abs(word[-1]) - base) >= 2:
                 continue
-            eta1, eta2 = _pair_letters(img, base)
-            lo = _core_at(eta1)
-            key = eta1[lo], _join(_join(_inverse(eta1[:lo]), eta2), eta1[:lo])
+            key = _key(img, base)
             if key not in seen:
                 seen.add(key)
                 out.append(Arc(base, _new(Braid, strands=P.r, letters=word, _action=img)))

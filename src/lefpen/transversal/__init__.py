@@ -5,7 +5,6 @@ Morse-function deformations, and symmetric local perturbations."""
 from .cutoff import CutoffProfile, ThresholdError, build_cutoff, min_admissible_k
 from .radial import central_difference, power_profile, radial_jacobian, radial_map_check
 from .morse import (
-    CirclePair,
     CriticalPoint,
     DeformedMorse,
     MorseModel,
@@ -27,6 +26,5 @@ from .localtrans import (
     random_instance,
     reverify,
     sigma_of,
-    solve_w,
     solve_w_residual,
 )

@@ -106,7 +106,8 @@ class LocalTransInstance:
         return sigma_of(self.delta, self.pexp)
 
     def validate(self):
-        """Check the sampled sup bounds on the disc of radius 11/10."""
+        """Check the sampled sup bounds on the disc of radius 11/10.
+        Only tests/test_localtrans.py::test_instance_invariants calls it."""
         z = ball_grid(1.1, SUP_RESOLUTION)
         sup_p = float(np.max(np.abs(self.p(z))))
         sup_q = float(np.max(np.abs(self.q(z))))
@@ -117,19 +118,13 @@ class LocalTransInstance:
         return {"sup_p": sup_p, "sup_q": sup_q}
 
 
-def solve_w(p, q, z):
-    """The graph value w(z) with p(z) - w - conj(w) q(z) = 0.  Requires
-    |q(z)| < 1; vectorized over z."""
-    return _graph(p, q, z)[0]
-
-
 def solve_w_residual(p, q, z):
     """max |s(z, w(z))| over the given points."""
     return _graph(p, q, z)[1]
 
 
 def _graph(p, q, z):
-    """(w(z), max |s(z, w(z))|), both from one evaluation of p and q."""
+    """(w(z) solving s(z, w) = 0, max |s(z, w(z))|) from one evaluation of p and q; needs |q| < 1."""
     pv, qv = p(z), q(z)
     qabs = np.abs(qv)
     if np.any(qabs >= 1.0):
@@ -144,10 +139,11 @@ def dw_dz_jacobian(p, q, z):
 
     Differentiating s(z, w(z)) = 0 gives dw/dz = -(ds/dw)^(-1) ds/dz with
     ds/dw = -(Id + antilinear multiplication by q(z)) and ds/dz the
-    complex multiplication by p'(z) - conj(w) q'(z).
+    complex multiplication by p'(z) - conj(w) q'(z).  Only
+    tests/test_localtrans.py::test_dw_dz_jacobian_vs_finite_differences calls it.
     """
     z = complex(z)
-    w = complex(solve_w(p, q, np.array([z]))[0])
+    w = complex(_graph(p, q, np.array([z]))[0][0])
     qv = complex(q(np.array([z]))[0])
     l = complex(p.deriv()(np.array([z]))[0] - np.conj(w) * q.deriv()(np.array([z]))[0])
     m_w = -(np.eye(2) + np.array([[qv.real, qv.imag], [qv.imag, -qv.real]]))
@@ -156,13 +152,15 @@ def dw_dz_jacobian(p, q, z):
 
 
 def dw_dz_bound_check(p, q, z, kappa):
-    """Spot check |dw/dz| <= 2 kappa^-1 |l(z)| by finite differences."""
+    """Spot check |dw/dz| <= 2 kappa^-1 |l(z)| by finite differences.  Only
+    tests call it: tests/test_localtrans.py::test_dw_dz_bound and
+    tests/test_localtrans.py::test_dw_dz_bound_matches_per_point_svd."""
     z = np.asarray(z, dtype=complex)
-    w0 = solve_w(p, q, z)
+    w0 = _graph(p, q, z)[0]
     dp, dq = p.deriv(), q.deriv()
     l = np.abs(dp(z) - np.conj(w0) * dq(z))
-    wx = (solve_w(p, q, z + FD_STEP) - solve_w(p, q, z - FD_STEP)) / (2.0 * FD_STEP)
-    wy = (solve_w(p, q, z + 1j * FD_STEP) - solve_w(p, q, z - 1j * FD_STEP)) / (2.0 * FD_STEP)
+    wx = (_graph(p, q, z + FD_STEP)[0] - _graph(p, q, z - FD_STEP)[0]) / (2.0 * FD_STEP)
+    wy = (_graph(p, q, z + 1j * FD_STEP)[0] - _graph(p, q, z - 1j * FD_STEP)[0]) / (2.0 * FD_STEP)
     # operator norm of the real 2x2 Jacobian with columns (wx, wy), per point
     jac = np.stack([np.stack([wx.real, wy.real], -1), np.stack([wx.imag, wy.imag], -1)], -2)
     norms = np.linalg.svd(jac, compute_uv=False)[..., 0]

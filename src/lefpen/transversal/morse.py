@@ -228,60 +228,26 @@ def _jet_blocks(h, grid):
 
 def verify_deform_bounds(h, grid):
     """Empirical bounds over a grid: max gradient, transversality constant,
-    max third derivative (Frobenius norm), all in the rescaled metric.
+    max third derivative (Frobenius norm), all in the rescaled metric, and
+    the max first and second derivatives of the circle pair (cos h, sin h),
+    the pencil with quotient e^(2ih) that extends h.
 
     The transversality constant is the largest eta such that every grid
     point with |grad| < eta has Hessian smallest singular value >= eta,
     that is eta_margin(|grad|, smallest singular value).
     """
-    blocks = [
-        (_row_norms(g), np.linalg.svd(hess, compute_uv=False)[:, -1], _row_norms(t3))
-        for _, g, hess, t3 in _jet_blocks(h, grid)
-    ]
-    grads, sigmas, thirds = (np.concatenate(b) for b in zip(*blocks))
+    blocks = []
+    for v, g, hess, t3 in _jet_blocks(h, grid):
+        c, s = _rows(np.cos(v), 2), _rows(np.sin(v), 2)  # the pair's derivatives by the chain rule
+        outer = g[:, :, None] * g[:, None, :]
+        first = np.maximum(_row_norms(-s[:, 0] * g), _row_norms(c[:, 0] * g))
+        second = np.maximum(_row_norms(-c * outer - s * hess), _row_norms(-s * outer + c * hess))
+        blocks.append((_row_norms(g), np.linalg.svd(hess, compute_uv=False)[:, -1], _row_norms(t3), first, second))
+    grads, sigmas, thirds, first, second = (np.concatenate(b) for b in zip(*blocks))
     return {
         "points": int(len(grid)),
         "maxGrad": float(np.max(grads)),
         "etaObserved": eta_margin(grads, sigmas),
         "maxThird": float(np.max(thirds)),
+        "circle_pair": {"max_first_derivative": float(np.max(first)), "max_second_derivative": float(np.max(second))},
     }
-
-
-class CirclePair:
-    """The pair (cos h, sin h) of a scalar function, with its algebra checks.
-
-    The quotient (h1 + i h2) / (h1 - i h2) equals the unit-circle point
-    (cos 2h, sin 2h) identically; identity_residual certifies this on
-    samples.  derivative_report gives the observed first and second
-    derivative bounds of the pair through the chain rule.
-    """
-
-    def __init__(self, h):
-        self.h = h  # scalar callable, e.g. lambda x: deformed.jets(x)[0]
-
-    def first(self, x):
-        return np.cos(self.h(x))
-
-    def second(self, x):
-        return np.sin(self.h(x))
-
-    @staticmethod
-    def identity_residual(h_values):
-        h_values = np.asarray(h_values, dtype=float)
-        z = np.cos(h_values) + 1j * np.sin(h_values)
-        quotient = z / np.conj(z)
-        target = np.cos(2.0 * h_values) + 1j * np.sin(2.0 * h_values)
-        return float(np.max(np.abs(quotient - target)))
-
-    @staticmethod
-    def derivative_report(deformed, grid):
-        """max |d(cos h)|, |d(sin h)| and their second derivatives over a grid."""
-        d1max = d2max = 0.0
-        for v, g, hess, _ in _jet_blocks(deformed, grid):
-            c, s = _rows(np.cos(v), 2), _rows(np.sin(v), 2)
-            d1max = max(d1max, np.max(_row_norms(-s[:, 0] * g)), np.max(_row_norms(c[:, 0] * g)))
-            outer = g[:, :, None] * g[:, None, :]
-            h1 = -c * outer - s * hess
-            h2 = -s * outer + c * hess
-            d2max = max(d2max, np.max(_row_norms(h1)), np.max(_row_norms(h2)))
-        return {"max_first_derivative": float(d1max), "max_second_derivative": float(d2max)}

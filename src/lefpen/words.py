@@ -142,11 +142,6 @@ class FreeWord:
         return word_to_str(self)
 
 
-def conjugate(u, g):
-    """g * u * g^(-1)."""
-    return g * u * g.inverse()
-
-
 def _peel(letters):
     """(lo, hi) with letters[lo:hi] the cyclic reduction of freely reduced letters."""
     lo, hi = 0, len(letters)

@@ -221,12 +221,15 @@ def test_criterion_6_deformation_scaling_sweep():
             for key, power in (("maxGrad", -1), ("etaObserved", 0), ("maxThird", 1)):
                 vals = [r[key] * D**power for r in rows]
                 spreads.append(max(vals) / min(vals))
+            for key, power in (("max_first_derivative", -1), ("max_second_derivative", -2)):
+                vals = [r["circle_pair"][key] * D**power for r in rows]
+                spreads.append(max(vals) / min(vals))
     elapsed = time.monotonic() - start
     ok = all(s < 3.0 for s in spreads) and elapsed < 60.0
     report(
         6,
         ok,
-        "maxGrad/D, eta, maxThird*D spreads %s all < 3; eta > 0; %.1fs"
+        "maxGrad/D, eta, maxThird*D, circle pair d1/D, d2/D^2 spreads %s all < 3; eta > 0; %.1fs"
         % (["%.2f" % s for s in spreads], elapsed),
     )
 

@@ -13,6 +13,7 @@ from lefpen.transversal.localtrans import (
     CPoly,
     LocalTransInstance,
     VerificationError,
+    _graph,
     ball_grid,
     dw_dz_bound_check,
     dw_dz_jacobian,
@@ -22,7 +23,6 @@ from lefpen.transversal.localtrans import (
     random_instance,
     reverify,
     sigma_of,
-    solve_w,
     solve_w_residual,
 )
 
@@ -86,23 +86,23 @@ def test_solve_w_cases():
     p = CPoly([0, 1])
     q0 = CPoly([0.0])
     z = np.array([0.3 + 0.2j])
-    assert solve_w(p, q0, z)[0] == pytest.approx(z[0])
+    assert _graph(p, q0, z)[0][0] == pytest.approx(z[0])
     # closed-form check: p(z) = z, q = 1/2, z = 1 -> w = 2/3
     qh = CPoly([0.5])
-    w = solve_w(p, qh, np.array([1.0 + 0j]))[0]
+    w = _graph(p, qh, np.array([1.0 + 0j]))[0][0]
     assert w == pytest.approx(2.0 / 3.0)
     assert abs(1.0 - w - w.conjugate() * 0.5) < 1e-14
     # real data gives real w
     pr = CPoly([0.25, -0.5, 0.125])
     zr = np.array([0.7 + 0j])
-    assert abs(solve_w(pr, qh, zr)[0].imag) < 1e-15
+    assert abs(_graph(pr, qh, zr)[0][0].imag) < 1e-15
 
 
 def test_solve_w_degenerate_q():
     p = CPoly([0, 1])
     q = CPoly([1.0])
     with pytest.raises(ValueError):
-        solve_w(p, q, np.array([0.5 + 0j]))
+        _graph(p, q, np.array([0.5 + 0j]))
 
 
 def test_solve_w_residual_small():
@@ -129,8 +129,8 @@ def test_dw_dz_bound_matches_per_point_svd():
     for _ in range(5):
         inst = random_instance(rng)
         p, q = inst.p, inst.q
-        wx = (solve_w(p, q, z + h) - solve_w(p, q, z - h)) / (2.0 * h)
-        wy = (solve_w(p, q, z + 1j * h) - solve_w(p, q, z - 1j * h)) / (2.0 * h)
+        wx = (_graph(p, q, z + h)[0] - _graph(p, q, z - h)[0]) / (2.0 * h)
+        wy = (_graph(p, q, z + 1j * h)[0] - _graph(p, q, z - 1j * h)[0]) / (2.0 * h)
         norms = [
             np.linalg.svd(np.array([[a.real, b.real], [a.imag, b.imag]]), compute_uv=False)[0]
             for a, b in zip(wx.ravel(), wy.ravel())
@@ -145,10 +145,10 @@ def test_dw_dz_jacobian_vs_finite_differences():
         for z in (0.3 + 0.1j, -0.5 + 0.4j, 0.05 - 0.7j):
             jac = dw_dz_jacobian(inst.p, inst.q, z)
             step = 1e-6
-            wx = (solve_w(inst.p, inst.q, np.array([z + step]))[0]
-                  - solve_w(inst.p, inst.q, np.array([z - step]))[0]) / (2 * step)
-            wy = (solve_w(inst.p, inst.q, np.array([z + 1j * step]))[0]
-                  - solve_w(inst.p, inst.q, np.array([z - 1j * step]))[0]) / (2 * step)
+            wx = (_graph(inst.p, inst.q, np.array([z + step]))[0][0]
+                  - _graph(inst.p, inst.q, np.array([z - step]))[0][0]) / (2 * step)
+            wy = (_graph(inst.p, inst.q, np.array([z + 1j * step]))[0][0]
+                  - _graph(inst.p, inst.q, np.array([z - 1j * step]))[0][0]) / (2 * step)
             num = np.array([[wx.real, wy.real], [wx.imag, wy.imag]])
             scale = max(np.linalg.norm(jac), 1e-9)
             assert np.max(np.abs(jac - num)) / scale < 1e-5

@@ -5,7 +5,6 @@ from lefpen.transversal.cutoff import build_cutoff
 from lefpen.transversal.localtrans import eta_margin
 from lefpen.transversal.morse import (
     BLOCK_ENTRIES,
-    CirclePair,
     CriticalPoint,
     DeformedMorse,
     MorseModel,
@@ -164,8 +163,7 @@ def test_grid_reports_match_per_point_reference():
         d1 = max(d1, np.linalg.norm(-s * g), np.linalg.norm(c * g))
         outer = np.outer(g, g)
         d2 = max(d2, np.linalg.norm(-c * outer - s * hess), np.linalg.norm(-s * outer + c * hess))
-    rep = CirclePair.derivative_report(h, grid)
-    assert rep == {"max_first_derivative": d1, "max_second_derivative": d2}
+    assert rep["circle_pair"] == {"max_first_derivative": d1, "max_second_derivative": d2}
 
 
 def test_verify_deform_bounds(deformed):
@@ -283,20 +281,11 @@ def test_eta_observed_transversality():
     assert verify_deform_bounds(Cubic(), pts1)["etaObserved"] < 0.1
 
 
-def test_circle_pair_identity():
-    # closed-form cases and random samples
-    assert CirclePair.identity_residual([np.pi / 4]) < 1e-12
-    assert CirclePair.identity_residual([0.0]) < 1e-15
-    rng = np.random.default_rng(4)
-    assert CirclePair.identity_residual(rng.uniform(-50, 50, size=2000)) < 1e-12
-
-
 def test_circle_pair_wrappers(deformed):
-    pair = CirclePair(lambda x: deformed.jets(x)[0])
-    x = np.array([0.2, 0.1])
-    assert pair.first(x) == pytest.approx(np.cos(deformed.jets(x)[0]))
-    assert pair.second(x) == pytest.approx(np.sin(deformed.jets(x)[0]))
+    # |d(cos h)| and |d(sin h)| are |sin h| |grad h| and |cos h| |grad h|, at most |grad h|
     grid = deform_grid(deformed.model, deformed.profile, radial=30, angular=8)
-    rep = CirclePair.derivative_report(deformed, grid)
-    assert rep["max_first_derivative"] > 0
-    assert rep["max_first_derivative"] <= verify_deform_bounds(deformed, grid)["maxGrad"] + 1e-9
+    rep = verify_deform_bounds(deformed, grid)
+    assert set(rep["circle_pair"]) == {"max_first_derivative", "max_second_derivative"}
+    assert rep["circle_pair"]["max_first_derivative"] > 0
+    assert rep["circle_pair"]["max_first_derivative"] <= rep["maxGrad"] + 1e-9
+    assert rep["circle_pair"]["max_second_derivative"] > 0

@@ -22,6 +22,7 @@ from lefpen.pencil import (
     MATCHING,
     ONCE_INTERSECTING,
     OTHER,
+    SINGULARITIES,
     ArcClass,
     Automorphism,
     HypothesisError,
@@ -54,6 +55,8 @@ A = Cycle(T, vector=(1, 0))
 B = Cycle(T, vector=(0, 1))
 P_AB = Pencil(T, (A, B))
 P_ABAB = Pencil(T, (A, B, A, B))
+SP2 = FiberModel.sp(2)
+P_SP2 = Pencil(SP2, [Cycle(SP2, vector=v) for v in ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0))])
 
 
 def rand_braid(strands, max_len=10):
@@ -348,6 +351,19 @@ def test_dual_singularity_braid():
     assert dual_singularity_braid("tangency", twisted) == Braid(3, (2, 1, -2))
     with pytest.raises(ValueError):
         dual_singularity_braid("fold", a)
+
+
+def test_singularity_table_matches_automorphisms():
+    # each singularity's braid monodromy is the automorphism of the arcs of its class
+    kinds = {cls: kind for kind, (cls, _) in SINGULARITIES.items()}
+    seen = []
+    for P, max_len, trust in ((P_ABAB, 2, False), (P_SP2, 1, True)):
+        for a in enumerate_arcs(P, max_len):
+            cls = classify_arc(a, P, trust_algebraic=trust).kind
+            assert dual_singularity_braid(kinds[cls], a) == automorphism_from_arc(a, P, trust_algebraic=trust).b
+            seen.append((P is P_SP2, cls))
+    assert {cls for sp, cls in seen if not sp} == {MATCHING, ONCE_INTERSECTING}
+    assert sorted(cls for sp, cls in seen if sp) == [DISJOINT_PAIR] * 6 + [ONCE_INTERSECTING] * 2
 
 
 def test_enumerate_arcs_dedup_and_base_case():
