@@ -474,7 +474,7 @@ def kernel_orbit(a, P, gens, depth, trust_algebraic=False):
 def hurwitz_orbit(P, depth):
     """Closure of a pencil under elementary Hurwitz moves, up to given depth."""
     # the moves s_i^e; their inverses s_i^-e are the same set, acted once each
-    inverses = [Braid.generator(P.r, i, -e).action() for i in range(1, P.r) for e in (1, -1)]
+    inverses = [Braid(P.r, (-e * i,)).action() for i in range(1, P.r) for e in (1, -1)]
     return set(_closure(P, lambda cur: (_relabel(cur, img) for img in inverses), depth, lambda Q: Q))
 
 

@@ -20,8 +20,8 @@ Every admissible profile must satisfy the slope corridor
     0 > l'(t) / l(t) >= -(1/2 + eps) / t     on (D, 3 sqrt(k) c0 / 4).
 
 The bridges are therefore built in log-slope space: on a band we set
-l'/l = -(1/2 + eps) S(u) / t where S is a quintic smoothstep (value and
-slope matched at both ends, so l is C^2 across every seam) plus a bump
+l'/l = -(1/2 + eps) S(u) / t where S is a quintic smoothstep of u^q (value
+and slope matched at both ends, so l is C^2 across every seam) plus a bump
 u^3 (1-u)^3 whose universal coefficient makes the band integral land
 exactly on the adjacent closed form.  Since 0 <= S <= 1, the corridor
 holds by construction, and l / (power section) is increasing on the
@@ -41,44 +41,44 @@ SLOPE_SAMPLES, SLOPE_PAD = 10_000, 1e-6  # slope_check's log-spaced points
 BOUND_SAMPLES = 2000  # derivative_bound_report's points per band
 
 
-def _band_integral(poly, c):
-    """integral_0^1 poly(u) / (c + u) du, exactly (polynomial part + log)."""
-    rho = poly(-c)
-    t = (poly - rho) // Polynomial([c, 1.0])
-    return t.integ()(1.0) - t.integ()(0.0) + rho * (np.log(c + 1.0) - np.log(c))
+# Gauss-Legendre on [-1, 1], built once.  With the pole of 1/(c + v) at
+# v = -c <= -1, 32 nodes integrate the degree-20 ramps to rounding, where
+# exact division by (c + v) cancels catastrophically.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _tuned_ramp(c, target):
+def _band_integral(poly, c, u=1.0):
+    """integral_0^u poly(v) / (c + v) dv, by Gauss-Legendre on [0, u] (u a scalar or an array)."""
+    u = np.asarray(u, dtype=float)
+    half = 0.5 * u[..., None]
+    v = half * (_NODES + 1.0)
+    return np.sum(_WEIGHTS * poly(v) / (c + v), axis=-1) * half[..., 0]
+
+
+def _tuned_ramp(q, c, target):
     """A ramp S: [0,1] -> [0,1] with zero end slopes and a pinned integral.
 
-    S = smoothstep(u^q) + lambda * u^3 (1-u)^3, with the warp exponent q
-    chosen so that the bump correction hitting
-    integral_0^1 S/(c+u) du = target stays small; asserts the [0, 1]
-    corridor that downstream slope bounds rely on.
+    S = smoothstep(u^q) + lambda * u^3 (1-u)^3, with lambda chosen so that
+    integral_0^1 S/(c+u) du = target; asserts the [0, 1] corridor that
+    downstream slope bounds rely on.
     """
-    best = None
-    u = Polynomial([0.0, 1.0])
-    grid = np.linspace(0.0, 1.0, 2001)
-    for q in range(1, 9):
-        shape = _SMOOTHSTEP(u**q)
-        lam = (target - _band_integral(shape, c)) / _band_integral(_BUMP, c)
-        s = shape + lam * _BUMP
-        probe = s(grid)
-        if probe.min() < -1e-12 or probe.max() > 1.0 + 1e-12:
-            continue
-        if best is None or abs(lam) < abs(best[1]):
-            best = (s, lam)
-    if best is None:
-        raise AssertionError("no tuned ramp stays inside the [0, 1] corridor")
-    return best[0]
+    shape = _SMOOTHSTEP(Polynomial([0.0, 1.0]) ** q)
+    s = shape + (target - _band_integral(shape, c)) / _band_integral(_BUMP, c) * _BUMP
+    probe = s(np.linspace(0.0, 1.0, 2001))
+    if probe.min() < -1e-12 or probe.max() > 1.0 + 1e-12:
+        raise AssertionError("the tuned ramp leaves the [0, 1] corridor")
+    return s
 
 
 # Both band shapes are parameter independent: the inner band always spans
 # [D, 2D] (so c = t_lo / width = 1) and carries the log-ratio ln(4/3);
 # the outer band spans [1/2, 3/4] c0 sqrt(k) (c = 2) and its complement
-# ramp carries ln(3/2) - ln(7/5).
-_S_INNER = _tuned_ramp(1.0, np.log(4.0 / 3.0))
-_S_OUTER_RAMP = _tuned_ramp(2.0, np.log(1.5) - np.log(1.4))
+# ramp carries ln(3/2) - ln(7/5).  The warps are fixed: among q = 1..8,
+# q = 1 gives the inner ramp the smallest bump |lambda| (1.68), and on the
+# outer band q = 1..3 overshoot the [0, 1] corridor while q = 4 gives the
+# smallest |lambda| (3.22) of the rest.
+_S_INNER = _tuned_ramp(1, 1.0, np.log(4.0 / 3.0))
+_S_OUTER = 1.0 - _tuned_ramp(4, 2.0, np.log(1.5) - np.log(1.4))
 
 
 class ThresholdError(ValueError):
@@ -99,31 +99,19 @@ def min_admissible_k(D, c0):
 class _Band:
     """One bridge: l'/l = -beta S(u)/t on [t_lo, t_hi], u = (t - t_lo)/w."""
 
-    def __init__(self, beta, t_lo, t_hi, shape, falling, log_l_lo):
+    def __init__(self, beta, t_lo, t_hi, s, log_l_lo):
         self.beta = beta
         self.t_lo = t_lo
         self.w = t_hi - t_lo
-        # falling bands ramp S 0 -> 1 (leave a flat section), rising-S
-        # complements (1 - shape) leave the power section toward a constant
-        self.s = shape if falling else Polynomial([1.0]) - shape
-        self.s1 = self.s.deriv()
+        self.s = s
+        self.s1 = s.deriv()
         self.s2 = self.s1.deriv()
         self.log_l_lo = log_l_lo
         self._c = t_lo / self.w
-        # fixed-node quadrature: stable for the high-degree warped shapes,
-        # where polynomial division by (c + u) cancels catastrophically
-        self._nodes, self._weights = np.polynomial.legendre.leggauss(32)
-
-    def _int_s(self, u):
-        """integral_0^u S(v)/(c + v) dv, by Gauss-Legendre on [0, u]."""
-        u = np.asarray(u, dtype=float)
-        half = 0.5 * u[..., None]
-        v = half * (self._nodes + 1.0)
-        return np.sum(self._weights * self.s(v) / (self._c + v), axis=-1) * half[..., 0]
 
     def log_jets(self, t):
         u = (t - self.t_lo) / self.w
-        m = self.log_l_lo - self.beta * self._int_s(u)
+        m = self.log_l_lo - self.beta * _band_integral(self.s, self._c, u)
         m1 = -self.beta * self.s(u) / t
         m2 = -self.beta * (self.s1(u) / (self.w * t) - self.s(u) / t**2)
         m3 = -self.beta * (
@@ -171,15 +159,12 @@ class CutoffProfile:
         self.t_pow_hi = float(0.5 * np.sqrt(k) * c0)
         self.t_one = float(0.75 * np.sqrt(k) * c0)
         self.top = float(k**0.25)
-        self._inner = _Band(
-            self.beta, self.t_flat, self.t_pow_lo, _S_INNER, True, np.log(self.top)
-        )
+        self._inner = _Band(self.beta, self.t_flat, self.t_pow_lo, _S_INNER, np.log(self.top))
         self._outer = _Band(
             self.beta,
             self.t_pow_hi,
             self.t_one,
-            _S_OUTER_RAMP,
-            False,
+            _S_OUTER,
             np.log(self.a * self.top * self.t_pow_hi ** (-self.beta)),
         )
 

@@ -108,10 +108,6 @@ class FreeWord:
         self.rank = rank
         self.letters = letters
 
-    @classmethod
-    def generator(cls, rank, i, exponent=1):
-        return cls(rank, (i if exponent > 0 else -i,))
-
     def __mul__(self, other):
         if not isinstance(other, FreeWord):
             return NotImplemented
@@ -186,10 +182,6 @@ class Braid:
         self.strands = strands
         self.letters = letters
         self._action = None
-
-    @classmethod
-    def generator(cls, strands, i, exponent=1):
-        return cls(strands, (i if exponent > 0 else -i,))
 
     def __mul__(self, other):
         if not isinstance(other, Braid):
@@ -297,7 +289,7 @@ class Arc:
 
 def half_twist(a):
     """The positive half-twist along the arc: carrier * s_base * carrier^(-1)."""
-    return a.carrier * Braid.generator(a.strands, a.base) * a.carrier.inverse()
+    return a.carrier * Braid(a.strands, (a.base,)) * a.carrier.inverse()
 
 
 def supporting_pair(a):

@@ -189,8 +189,9 @@ def test_criterion_5_cutoff_profiles():
             p = build_cutoff(k, D, 1.0)
             slope = p.slope_check()
             assert slope["ok"], (k, D, slope)
-            assert p.value(D) == k**0.25
-            assert abs(p.value(p.t_one) - 1.0) < 1e-9
+            # one ulp inside the bands, where the band integrals give l
+            assert abs(p.value(np.nextafter(D, np.inf)) - k**0.25) <= 1e-12 * k**0.25
+            assert abs(p.value(np.nextafter(p.t_one, 0.0)) - 1.0) <= 1e-12
             ratio = 3.0 * D / 1.4
             eps = math.log(ratio) / (math.log(k) - 2.0 * math.log(ratio))
             assert abs(p.eps - eps) < 1e-12
@@ -199,7 +200,7 @@ def test_criterion_5_cutoff_profiles():
     report(
         5,
         len(checked) == 5,
-        "slope corridor at 1e4 points, exact endpoints, closed-form eps/a on %d admissible (k, D); "
+        "slope corridor at 1e4 points, endpoints one ulp inside the bands, closed-form eps/a on %d admissible (k, D); "
         "%d below threshold" % (len(checked), len(skipped)),
     )
 

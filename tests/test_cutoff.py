@@ -37,8 +37,10 @@ def test_endpoint_values():
     p = build_cutoff(1e4, 1.0, 1.0)
     assert p.value(1.0) == 1e4**0.25
     assert p.value(0.0) == 1e4**0.25
-    assert abs(p.value(p.t_one) - 1.0) < 1e-9
     assert p.value(p.t_one * 2) == 1.0
+    # one ulp inside the bands, where the band integrals, not the constants, give l
+    assert p.value(np.nextafter(p.t_flat, np.inf)) == pytest.approx(p.top, rel=1e-12, abs=0.0)
+    assert p.value(np.nextafter(p.t_one, 0.0)) == pytest.approx(1.0, rel=1e-12, abs=0.0)
     # the power form passes through k^(1/4) at 1.5 D and through 1 at
     # 0.7 c0 sqrt(k) (the anchors pinning a and eps)
     beta = 0.5 + p.eps
@@ -54,7 +56,10 @@ def test_eps_range_at_threshold():
     assert 0 < closed_form_eps(1e8, D, c0) < closed_form_eps(1e4, D, c0) <= 0.25
 
 
-@pytest.mark.parametrize("k,D", [(1e3, 1), (1e4, 1), (1e4, 2), (1e5, 1), (1e5, 2)])
+CRITERION_6_PAIRS = [(1e3, 1), (1e4, 1), (1e4, 2), (1e5, 1), (1e5, 2)]  # the admissible (k, D) at c0 = 1
+
+
+@pytest.mark.parametrize("k,D", CRITERION_6_PAIRS)
 def test_slope_inequality(k, D):
     p = build_cutoff(k, D, 1.0)
     rep = p.slope_check()
@@ -62,12 +67,12 @@ def test_slope_inequality(k, D):
 
 
 def test_c2_at_seams():
-    p = build_cutoff(1e4, 1.0, 1.0)
-    for t0 in (p.t_flat, p.t_pow_lo, p.t_pow_hi, p.t_one):
-        h = 1e-9 * t0
-        for f in (p.value, p.d1, p.d2):
-            scale = max(1.0, abs(f(t0)))
-            assert abs(f(t0 + h) - f(t0 - h)) / scale < 1e-6
+    for k, D in CRITERION_6_PAIRS:
+        p = build_cutoff(k, D, 1.0)
+        for t0 in (p.t_flat, p.t_pow_lo, p.t_pow_hi, p.t_one):
+            # l, l' and l'' one ulp either side of the seam agree to rounding
+            below, above = np.array(p.jets(np.array([np.nextafter(t0, 0.0), np.nextafter(t0, np.inf)]))[:3]).T
+            assert np.all(np.abs(above - below) <= 1e-12 * np.maximum(1.0, np.abs(below))), (k, D, t0, below, above)
 
 
 def test_derivatives_vs_finite_differences():

@@ -141,7 +141,7 @@ def test_cached_twists_leave_equality_and_hash_alone(data):
     P.total_monodromy()
     for _ in range(data.draw(st.integers(0, 3))):
         w = data.draw(free_words(P.r, 4))
-        vanishing_label(P, w * FreeWord.generator(P.r, data.draw(st.integers(1, P.r))) * w.inverse())
+        vanishing_label(P, w * FreeWord(P.r, (data.draw(st.integers(1, P.r)),)) * w.inverse())
     fresh = Pencil(P.fiber, P.cycles)
     assert P == fresh and hash(P) == hash(fresh)
     assert {P: 1}[fresh] == 1
@@ -260,7 +260,7 @@ def test_word_algebra_results_pass_the_public_constructor(data):
     i = data.draw(st.integers(1, r))
     j = data.draw(st.integers(i, r))
     # an arbitrary conjugator may end in the core or its inverse
-    conjugated = u * FreeWord.generator(r, data.draw(st.integers(1, r))) * u.inverse()
+    conjugated = u * FreeWord(r, (data.draw(st.integers(1, r)),)) * u.inverse()
     # a conjugate's first and last letters cancel across the factors of its powers
     power = (c * b * c.inverse()) ** data.draw(st.integers(-3, 3))
     built = [u * v, u.inverse(), b * c, b.inverse(), power, artin_apply(b, u)]
@@ -295,7 +295,7 @@ def test_one_step_composes_the_action(data):
 def test_hurwitz_orbit_is_the_closure_of_hurwitz_apply(name):
     with open(os.path.join(DATA, name)) as fh:
         P = pencil_from_json(json.load(fh))
-    moves = [Braid.generator(P.r, i, e) for i in range(1, P.r) for e in (1, -1)]
+    moves = [Braid(P.r, (e * i,)) for i in range(1, P.r) for e in (1, -1)]
     reached = _closure(P, lambda cur: (hurwitz_apply(b, cur) for b in moves), 3, lambda Q: Q)
     assert hurwitz_orbit(P, 3) == set(reached)
 
@@ -310,7 +310,7 @@ def test_generator_conjugate_decomposes_by_its_peeled_prefix(data):
     stripped = w.letters
     while stripped and abs(stripped[-1]) == i:
         stripped = stripped[:-1]
-    assert is_generator_conjugate(w * FreeWord.generator(r, i) * w.inverse()) == (i, FreeWord(r, stripped))
+    assert is_generator_conjugate(w * FreeWord(r, (i,)) * w.inverse()) == (i, FreeWord(r, stripped))
 
 
 @LAWS

@@ -93,7 +93,7 @@ def rand_disc_pencil(g):
 
 
 def test_monodromy_of_generators_and_identity():
-    assert monodromy_of(P_AB, FreeWord.generator(2, 1)) == dehn_twist(A)
+    assert monodromy_of(P_AB, FreeWord(2, (1,))) == dehn_twist(A)
     assert monodromy_of(P_AB, FreeWord(2)) == FiberElement.identity(T)
     got = monodromy_of(P_AB, FreeWord(2, (1, 2)))
     assert got.matrix == ((0, -1), (1, 1))
@@ -119,7 +119,7 @@ def test_label_equivariance():
             r = P.r
             w = FreeWord(r, [g.choice([1, -1]) * g.randint(1, r) for _ in range(g.randint(0, 8))])
             i = g.randint(1, r)
-            gamma = FreeWord.generator(r, i)
+            gamma = FreeWord(r, (i,))
             lhs = vanishing_label(P, w * gamma * w.inverse())
             rhs = act(monodromy_of(P, w), vanishing_label(P, gamma))
             assert cycle_eq(lhs, rhs)
@@ -127,7 +127,7 @@ def test_label_equivariance():
 
 
 def test_hurwitz_generator_rule():
-    Q = hurwitz_apply(Braid.generator(2, 1), P_AB)
+    Q = hurwitz_apply(Braid(2, (1,)), P_AB)
     assert Q.cycles[0] == B
     assert Q.cycles[1] == Cycle(T, vector=(1, -1))
     assert hurwitz_apply(Braid(2), P_AB) == P_AB
@@ -138,7 +138,7 @@ def test_hurwitz_rule_general():
     for _ in range(100):
         P = rand_torus_pencil()
         i = rng.randint(1, P.r - 1)
-        Q = hurwitz_apply(Braid.generator(P.r, i), P)
+        Q = hurwitz_apply(Braid(P.r, (i,)), P)
         for j in range(P.r):
             if j == i - 1:
                 assert Q.cycles[j] == P.cycles[i]
@@ -166,11 +166,11 @@ def test_in_gamma_trivial_and_examples():
     assert in_gamma(Automorphism(Braid(2), FiberElement.identity(T)), P_AB)
     matching = Automorphism(Braid(4, (-2, 1, 2)), FiberElement.identity(T))
     assert in_gamma(matching, P_ABAB)
-    assert not in_gamma(Automorphism(Braid.generator(2, 1), FiberElement.identity(T)), P_AB)
+    assert not in_gamma(Automorphism(Braid(2, (1,)), FiberElement.identity(T)), P_AB)
 
 
 def test_in_gamma_detail_reports_violation():
-    ok, detail = in_gamma_detail(Automorphism(Braid.generator(2, 1), FiberElement.identity(T)), P_AB)
+    ok, detail = in_gamma_detail(Automorphism(Braid(2, (1,)), FiberElement.identity(T)), P_AB)
     assert not ok
     assert detail["generator"] == 1 and detail["check"] in ("monodromy", "label")
 
@@ -517,7 +517,7 @@ def test_kernel_orbit():
         assert classify_arc(el, P_ABAB).kind == MATCHING
     assert kernel_orbit(a, P_ABAB, [gen], 0) == {a}
     with pytest.raises(ValueError):
-        kernel_orbit(a, P_ABAB, [Automorphism(Braid.generator(4, 1), FiberElement.identity(T))], 1)
+        kernel_orbit(a, P_ABAB, [Automorphism(Braid(4, (1,)), FiberElement.identity(T))], 1)
 
 
 def test_kernel_orbit_multiple_generators():
