@@ -17,6 +17,14 @@ Everything here is desk scale: square grids, a numpy labelling of the
 clear region's components in the w-disc, and an independent
 re-verification of every certificate on a finer grid.
 
+The z-grids are walked in blocks of BLOCK_ENTRIES // 4 points (_walk):
+each block takes each power z**e once for p, q, p' and q' together and
+is folded into the graph's near-critical images (_near_critical) or the
+verify margin (_verify) before the next, so no full-grid array of the
+four polynomials' values exists.  The values keep the bits of evaluating
+each polynomial over the whole grid at once, whose complex products take
+their operand order from the grid's size (see _walk).
+
 The w-disc never forms its all-pairs distance to the near-critical
 image.  _bounds bounds each point's nearest distance by d - h and d + h,
 with d the nearest distance of its cell's centre in a CELLS x CELLS
@@ -38,7 +46,11 @@ MAX_DEGREE = 4  # of the random instances' p and q
 FD_STEP = 1e-7  # of the dw/dz spot check
 C = 4.0  # w0 keeps clear of the C sigma-neighborhood of the near-critical image
 REVERIFY_FACTOR = 2  # reverify's grid is about this many times finer
-BLOCK_ENTRIES = 1 << 16  # array entries per block: point-target differences here, n^4 jets in morse
+# array entries per block: point-target differences and the values of p, q,
+# p' and q' at a block of z-grid points here, n^4 jets in morse.  The z-grid
+# blocks keep the operand order that numpy's 256 KiB temporary elision gives
+# an evaluation over the whole grid, so the order follows the grid's size (_walk)
+BLOCK_ENTRIES = 1 << 16
 CELLS = 16  # cells per side of the bucket grid over the w-disc points
 SLACK = 1e-9  # relative widening of every cell bound, far above float rounding
 
@@ -55,10 +67,10 @@ class CPoly:
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = np.zeros_like(z)
-        for e, c in enumerate(self.coeffs):
-            if c:
-                out = out + c * z**e
+        out = np.empty(z.shape, dtype=complex)
+        flat = out.reshape(-1)
+        for block, (values,) in _walk([self], z.reshape(-1)):
+            flat[block] = values
         return out
 
     def deriv(self):
@@ -66,6 +78,33 @@ class CPoly:
 
     def scaled(self, factor):
         return CPoly([c * factor for c in self.coeffs])
+
+
+def _walk(polys, z):
+    """Yield (block, values) per slice of BLOCK_ENTRIES // 4 points of the
+    flat array z, values[i] holding polys[i] at the points z[block].
+
+    Each block takes each power z**e once, for every poly with a z**e term,
+    and sums the terms c * z**e in exponent order: the bits of that sum over
+    the whole array at once.  Complex multiplication is not bitwise
+    commutative, and numpy evaluates c * z**e with a Python complex c as
+    z**e * c, in place, when the temporary z**e takes 256 KiB or more (its
+    temporary elision).  So the operand order follows the size of z, not
+    of the block.
+    """
+    swapped = z.nbytes >= 256 * 1024
+    step = BLOCK_ENTRIES // 4
+    for lo in range(0, z.size, step):
+        block = slice(lo, lo + step)
+        points = z[block]
+        values = [np.zeros_like(points) for _ in polys]
+        for e in range(max(len(p.coeffs) for p in polys)):
+            terms = [(v, p.coeffs[e]) for v, p in zip(values, polys) if e < len(p.coeffs) and p.coeffs[e]]
+            if terms:
+                power = points**e
+                for v, c in terms:
+                    v += power * c if swapped else c * power
+        yield block, values
 
 
 def ball_grid(radius, resolution):
@@ -120,18 +159,38 @@ class LocalTransInstance:
 
 def solve_w_residual(p, q, z):
     """max |s(z, w(z))| over the given points."""
-    return _graph(p, q, z)[1]
+    return _graph(p(z), q(z))[1]
 
 
-def _graph(p, q, z):
-    """(w(z) solving s(z, w) = 0, max |s(z, w(z))|) from one evaluation of p and q; needs |q| < 1."""
-    pv, qv = p(z), q(z)
+def _degenerate(qabs):
+    qmax = float(np.max(qabs))
+    return ValueError("the graph equation degenerates: max |q| = %r >= 1 on %d points" % (qmax, qabs.size))
+
+
+def _graph(pv, qv):
+    """(w solving s(z, w) = 0, max |s(z, w)|) at points where p and q take
+    the values pv and qv; ValueError unless every |q| < 1."""
     qabs = np.abs(qv)
     if np.any(qabs >= 1.0):
-        qmax = float(np.max(qabs))
-        raise ValueError("the graph equation degenerates: max |q| = %r >= 1 on %d points" % (qmax, z.size))
+        raise _degenerate(qabs)
     w = (pv - np.conj(pv) * qv) / (1.0 - qabs**2)
     return w, float(np.max(np.abs(pv - w - np.conj(w) * qv), initial=0.0))
+
+
+def _near_critical(inst, z):
+    """(max |s(z, w(z))|, the images w(z) where l(z) = |p' - conj(w) q'| <= C sigma)
+    over the points z, walked in blocks.  A degenerate graph's ValueError
+    names the max |q| and the number of all the points."""
+    dp, dq = inst.p.deriv(), inst.q.deriv()
+    residuals, images = [], [np.zeros(0, dtype=complex)]
+    for _, (pv, qv, dpv, dqv) in _walk([inst.p, inst.q, dp, dq], z):
+        try:
+            w, residual = _graph(pv, qv)
+        except ValueError:
+            raise _degenerate(np.abs(inst.q(z))) from None
+        residuals.append(residual)
+        images.append(w[np.abs(dpv - np.conj(w) * dqv) <= C * inst.sigma])
+    return float(np.max(residuals, initial=0.0)), np.concatenate(images)
 
 
 def dw_dz_jacobian(p, q, z):
@@ -142,10 +201,10 @@ def dw_dz_jacobian(p, q, z):
     complex multiplication by p'(z) - conj(w) q'(z).  Only
     tests/test_localtrans.py::test_dw_dz_jacobian_vs_finite_differences calls it.
     """
-    z = complex(z)
-    w = complex(_graph(p, q, np.array([z]))[0][0])
-    qv = complex(q(np.array([z]))[0])
-    l = complex(p.deriv()(np.array([z]))[0] - np.conj(w) * q.deriv()(np.array([z]))[0])
+    z = np.array([complex(z)])
+    w = complex(_graph(p(z), q(z))[0][0])
+    qv = complex(q(z)[0])
+    l = complex(p.deriv()(z)[0] - np.conj(w) * q.deriv()(z)[0])
     m_w = -(np.eye(2) + np.array([[qv.real, qv.imag], [qv.imag, -qv.real]]))
     m_z = np.array([[l.real, -l.imag], [l.imag, l.real]])
     return -np.linalg.solve(m_w, m_z)
@@ -156,11 +215,15 @@ def dw_dz_bound_check(p, q, z, kappa):
     tests call it: tests/test_localtrans.py::test_dw_dz_bound and
     tests/test_localtrans.py::test_dw_dz_bound_matches_per_point_svd."""
     z = np.asarray(z, dtype=complex)
-    w0 = _graph(p, q, z)[0]
+
+    def graph(points):
+        return _graph(p(points), q(points))[0]
+
+    w0 = graph(z)
     dp, dq = p.deriv(), q.deriv()
     l = np.abs(dp(z) - np.conj(w0) * dq(z))
-    wx = (_graph(p, q, z + FD_STEP)[0] - _graph(p, q, z - FD_STEP)[0]) / (2.0 * FD_STEP)
-    wy = (_graph(p, q, z + 1j * FD_STEP)[0] - _graph(p, q, z - 1j * FD_STEP)[0]) / (2.0 * FD_STEP)
+    wx = (graph(z + FD_STEP) - graph(z - FD_STEP)) / (2.0 * FD_STEP)
+    wy = (graph(z + 1j * FD_STEP) - graph(z - 1j * FD_STEP)) / (2.0 * FD_STEP)
     # operator norm of the real 2x2 Jacobian with columns (wx, wy), per point
     jac = np.stack([np.stack([wx.real, wy.real], -1), np.stack([wx.imag, wy.imag], -1)], -2)
     norms = np.linalg.svd(jac, compute_uv=False)[..., 0]
@@ -184,7 +247,8 @@ def eta_transverse_check(f, df, grid, eta):
     True iff every grid point with |f| < eta has derivative with a right
     inverse of norm at most 1/eta; for a holomorphic function on the unit
     disc in C that means |f'| >= eta.  (Non-strict, so the identity map is
-    1-transverse.)
+    1-transverse.)  The program reads the blocked margin of _verify; only
+    tests/test_localtrans.py::test_eta_transverse_check_examples calls it.
     """
     return eta_margin(np.abs(f(grid)), np.abs(df(grid))) >= eta
 
@@ -296,6 +360,24 @@ def _farthest(points, targets):
     return int(keep[np.argmax(_nearest_distance(points[keep], targets))])
 
 
+def _verify(inst, w0, z):
+    """(margin, worst) of s(., w0) = p - w0 - conj(w0) q over the points z,
+    walked in blocks: margin is eta_margin(|s|, |ds/dz|), and worst is
+    (z, |s|, |ds/dz|) at the first point where max(|s|, |ds/dz|) is least,
+    or None on no points."""
+    cw0 = np.conj(w0)
+    blocks = []
+    for block, (pv, qv, dpv, dqv) in _walk([inst.p, inst.q, inst.p.deriv(), inst.q.deriv()], z):
+        s = np.abs(pv - w0 - cw0 * qv)
+        ds = np.abs(dpv - cw0 * dqv)
+        i = int(np.argmin(np.maximum(s, ds)))
+        blocks.append((eta_margin(s, ds), complex(z[block][i]), float(s[i]), float(ds[i])))
+    if not blocks:
+        return np.inf, None
+    margins = [b[0] for b in blocks]
+    return float(np.min(margins)), blocks[int(np.argmin(margins))][1:]
+
+
 def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     """One pass at the given grids: a TransversalityCertificate, or a string
     saying why none was found.  Raises VerificationError when the graph
@@ -306,14 +388,9 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     component (_farthest).
     """
     sigma = inst.sigma
-    dp, dq = inst.p.deriv(), inst.q.deriv()
-
-    z = ball_grid(1.1, graph_resolution)
-    w_graph, residual = _graph(inst.p, inst.q, z)
+    residual, bad_images = _near_critical(inst, ball_grid(1.1, graph_resolution))
     if residual > 1e-10:
         raise VerificationError("graph residual %g exceeds 1e-10" % residual)
-    l = np.abs(dp(z) - np.conj(w_graph) * dq(z))
-    bad_images = w_graph[l <= C * sigma]
 
     axis = np.linspace(-inst.delta, inst.delta, w_resolution)
     w_flat = (axis[:, None] + 1j * axis[None, :]).ravel()
@@ -331,15 +408,9 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     main_points = w_flat[(labels == main).ravel()]
     w0 = complex(main_points[_farthest(main_points, bad_images)])
 
-    zv = ball_grid(1.0, verify_resolution)
-    s = np.abs(inst.p(zv) - w0 - np.conj(w0) * inst.q(zv))
-    ds = np.abs(dp(zv) - np.conj(w0) * dq(zv))
-    margin = eta_margin(s, ds)
+    margin, worst = _verify(inst, w0, ball_grid(1.0, verify_resolution))
     if margin < sigma:
-        worst = int(np.argmin(np.maximum(s, ds)))
-        return "at z = %r, |s| = %r and |ds/dz| = %r are both below sigma = %r (w0 = %r)" % (
-            complex(zv[worst]), float(s[worst]), float(ds[worst]), sigma, w0
-        )
+        return "at z = %r, |s| = %r and |ds/dz| = %r are both below sigma = %r (w0 = %r)" % (worst + (sigma, w0))
     return TransversalityCertificate(
         w0=w0, margin=margin, sigma=sigma, clearance_area=clearance_area,
         clearance_claim=0.9 * math.pi * inst.delta**2,
@@ -370,14 +441,7 @@ def find_good_w0(inst, graph_resolution=201, w_resolution=201, verify_resolution
 def reverify(inst, cert):
     """Independent re-check of a certificate on a finer unit-disc grid."""
     res = REVERIFY_FACTOR * cert.grid["verify_resolution"] - 1
-    zv = ball_grid(1.0, res)
-    dp, dq = inst.p.deriv(), inst.q.deriv()
-    return eta_transverse_check(
-        lambda g: inst.p(g) - cert.w0 - np.conj(cert.w0) * inst.q(g),
-        lambda g: dp(g) - np.conj(cert.w0) * dq(g),
-        zv,
-        cert.sigma,
-    )
+    return _verify(inst, cert.w0, ball_grid(1.0, res))[0] >= cert.sigma
 
 
 def random_instance(rng, kappa=0.2, delta=0.1, pexp=2):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lefpen.transversal import cutoff
 from lefpen.transversal.cutoff import (
     CutoffProfile,
     ThresholdError,
@@ -22,6 +23,12 @@ def test_threshold():
     with pytest.raises(ThresholdError) as err:
         build_cutoff(50, 1, 1)
     assert err.value.min_k == pytest.approx((15 / 7) ** 6)
+
+
+def test_gauss_legendre_literals_are_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    assert np.array_equal(cutoff._NODES, nodes)
+    assert np.array_equal(cutoff._WEIGHTS, weights)
 
 
 def test_constants_match_closed_forms():

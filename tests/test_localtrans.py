@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,78 @@ def test_cpoly_matches_exponent_map_evaluation():
             assert np.array_equal(poly.scaled(factor)(z), _exponent_map_eval(ref_scaled, z))
 
 
+# the reference for the blocked walk's bits: CPoly's evaluation before it,
+# each polynomial summed over the whole array at once
+def _whole_array(poly, z):
+    out = np.zeros_like(z)
+    for e, c in enumerate(poly.coeffs):
+        if c:
+            out = out + c * z**e
+    return out
+
+
+def test_walk_matches_whole_array_evaluation():
+    # the 101 grids' 7,845 points lie below numpy's 256 KiB temporary
+    # elision, the 201 and 401 grids' above it
+    rng = np.random.default_rng(6)
+    grids = [ball_grid(radius, res) for radius in (1.0, 1.1) for res in (101, 201, 401)]
+    assert {z.nbytes >= 256 * 1024 for z in grids} == {False, True}
+    sets = [[CPoly([0.5, 0.0, -0.0, 2j, 0.0]), CPoly([0.0, 1.0]), CPoly([0.0])]]
+    for _ in range(4):
+        inst = random_instance(rng)
+        sets.append([inst.p, inst.q, inst.p.deriv(), inst.q.deriv()])
+    for polys in sets:
+        for z in grids:
+            blocks = list(localtrans._walk(polys, z))
+            assert len(blocks) == -(-z.size // (localtrans.BLOCK_ENTRIES // 4))
+            for i, poly in enumerate(polys):
+                assert np.array_equal(np.concatenate([values[i] for _, values in blocks]), _whole_array(poly, z))
+
+
+def test_complex_products_are_not_bitwise_commutative():
+    # why _walk orders c * z**e by the size of the whole grid: should c * a
+    # and a * c ever agree bit for bit, this fails and that rule can go
+    a = ball_grid(1.1, 201) ** 3
+    c = complex(0.3, -0.7)
+    assert not np.array_equal(np.multiply(c, a), np.multiply(a, c))
+
+
+def test_graph_and_margins_match_whole_arrays():
+    # _attempt's graph step and both verify grids, against the whole-array
+    # expressions they replaced
+    rng = np.random.default_rng(8)
+    sizes = []
+    for delta, pexp in ((0.1, 2), (0.45, 1)) * 2:
+        inst = random_instance(rng, delta=delta, pexp=pexp)
+        p, q, dp, dq = inst.p, inst.q, inst.p.deriv(), inst.q.deriv()
+        for res in (101, 201, 401):
+            z = ball_grid(1.1, res)
+            pv, qv = _whole_array(p, z), _whole_array(q, z)
+            w = (pv - np.conj(pv) * qv) / (1.0 - np.abs(qv) ** 2)
+            residual = float(np.max(np.abs(pv - w - np.conj(w) * qv), initial=0.0))
+            l = np.abs(_whole_array(dp, z) - np.conj(w) * _whole_array(dq, z))
+            blocks = localtrans._walk([p, q], z)
+            assert np.array_equal(np.concatenate([_graph(*values)[0] for _, values in blocks]), w)
+            got_residual, images = localtrans._near_critical(inst, z)
+            assert got_residual == residual
+            assert np.array_equal(images, w[l <= localtrans.C * inst.sigma])
+            sizes.append((images.size, z.size))
+        w0 = complex(*(delta * rng.uniform(-0.7, 0.7, size=2)))
+        for res in (201, 401):  # _attempt's verify grid and reverify's
+            zv = ball_grid(1.0, res)
+            s = np.abs(_whole_array(p, zv) - w0 - np.conj(w0) * _whole_array(q, zv))
+            ds = np.abs(_whole_array(dp, zv) - np.conj(w0) * _whole_array(dq, zv))
+            i = int(np.argmin(np.maximum(s, ds)))
+            worst = (complex(zv[i]), float(s[i]), float(ds[i]))
+            assert localtrans._verify(inst, w0, zv) == (eta_margin(s, ds), worst)
+    assert any(0 < n < size for n, size in sizes)  # the mask picks some points, not all
+
+
+def _w(p, q, z):
+    """The graph w(z) at the points z."""
+    return _graph(p(z), q(z))[0]
+
+
 def test_sigma_closed_form():
     assert sigma_of(0.1, 2) == pytest.approx(0.1 / math.log(10) ** 2)
     assert sigma_of(0.1, 2) == pytest.approx(0.0188611, abs=1e-6)
@@ -86,23 +159,32 @@ def test_solve_w_cases():
     p = CPoly([0, 1])
     q0 = CPoly([0.0])
     z = np.array([0.3 + 0.2j])
-    assert _graph(p, q0, z)[0][0] == pytest.approx(z[0])
+    assert _graph(p(z), q0(z))[0][0] == pytest.approx(z[0])
     # closed-form check: p(z) = z, q = 1/2, z = 1 -> w = 2/3
     qh = CPoly([0.5])
-    w = _graph(p, qh, np.array([1.0 + 0j]))[0][0]
+    one = np.array([1.0 + 0j])
+    w = _graph(p(one), qh(one))[0][0]
     assert w == pytest.approx(2.0 / 3.0)
     assert abs(1.0 - w - w.conjugate() * 0.5) < 1e-14
     # real data gives real w
     pr = CPoly([0.25, -0.5, 0.125])
     zr = np.array([0.7 + 0j])
-    assert abs(_graph(pr, qh, zr)[0][0].imag) < 1e-15
+    assert abs(_graph(pr(zr), qh(zr))[0][0].imag) < 1e-15
 
 
 def test_solve_w_degenerate_q():
     p = CPoly([0, 1])
     q = CPoly([1.0])
+    z = np.array([0.5 + 0j])
     with pytest.raises(ValueError):
-        _graph(p, q, np.array([0.5 + 0j]))
+        _graph(p(z), q(z))
+    # |q| >= 1 on both rims of the 201 grid, most at z = 1.1 in its second
+    # block: the walk's error still names the whole grid's max |q| and size
+    inst = LocalTransInstance(p, CPoly([0.02, 0.95]), 0.2, 0.1, 2)
+    z = ball_grid(1.1, 201)
+    whole = "max |q| = %r >= 1 on 31417 points" % float(np.max(np.abs(inst.q(z))))
+    with pytest.raises(ValueError, match=re.escape(whole)):
+        localtrans._near_critical(inst, z)
 
 
 def test_solve_w_residual_small():
@@ -129,8 +211,8 @@ def test_dw_dz_bound_matches_per_point_svd():
     for _ in range(5):
         inst = random_instance(rng)
         p, q = inst.p, inst.q
-        wx = (_graph(p, q, z + h)[0] - _graph(p, q, z - h)[0]) / (2.0 * h)
-        wy = (_graph(p, q, z + 1j * h)[0] - _graph(p, q, z - 1j * h)[0]) / (2.0 * h)
+        wx = (_w(p, q, z + h) - _w(p, q, z - h)) / (2.0 * h)
+        wy = (_w(p, q, z + 1j * h) - _w(p, q, z - 1j * h)) / (2.0 * h)
         norms = [
             np.linalg.svd(np.array([[a.real, b.real], [a.imag, b.imag]]), compute_uv=False)[0]
             for a, b in zip(wx.ravel(), wy.ravel())
@@ -145,10 +227,9 @@ def test_dw_dz_jacobian_vs_finite_differences():
         for z in (0.3 + 0.1j, -0.5 + 0.4j, 0.05 - 0.7j):
             jac = dw_dz_jacobian(inst.p, inst.q, z)
             step = 1e-6
-            wx = (_graph(inst.p, inst.q, np.array([z + step]))[0][0]
-                  - _graph(inst.p, inst.q, np.array([z - step]))[0][0]) / (2 * step)
-            wy = (_graph(inst.p, inst.q, np.array([z + 1j * step]))[0][0]
-                  - _graph(inst.p, inst.q, np.array([z - 1j * step]))[0][0]) / (2 * step)
+            p, q = inst.p, inst.q
+            wx = (_w(p, q, np.array([z + step]))[0] - _w(p, q, np.array([z - step]))[0]) / (2 * step)
+            wy = (_w(p, q, np.array([z + 1j * step]))[0] - _w(p, q, np.array([z - 1j * step]))[0]) / (2 * step)
             num = np.array([[wx.real, wy.real], [wx.imag, wy.imag]])
             scale = max(np.linalg.norm(jac), 1e-9)
             assert np.max(np.abs(jac - num)) / scale < 1e-5
@@ -455,7 +536,7 @@ def test_clear_and_farthest_on_instance_bad_sets():
         for _ in range(3):
             inst = random_instance(rng, delta=delta)
             z = ball_grid(1.1, 201)
-            w, _ = localtrans._graph(inst.p, inst.q, z)
+            w, _ = localtrans._graph(inst.p(z), inst.q(z))
             l = np.abs(inst.p.deriv()(z) - np.conj(w) * inst.q.deriv()(z))
             radius = localtrans.C * inst.sigma
             _assert_matches_all_pairs(_disc_points(201, delta), w[l <= radius], radius)
