@@ -4,9 +4,11 @@ A pencil is an ordered tuple of vanishing cycles (c_1, .., c_r) in a fiber
 model.  It induces the enhanced monodromy: the homomorphism zeta sending
 x_i to the Dehn twist about c_i (words evaluated left to right), together
 with the labelling L(w x_i w^(-1)) = zeta(w)(c_i) of all conjugates of
-generators by cycle classes.  A label applies the twists of w's letters to
-c_i one letter at a time, from the right (Picard-Lefschetz); each cycle's
-twist and its inverse are built once per pencil, cached outside equality.
+generators by cycle classes.  A label twists c_i along w's letters one
+letter at a time, from the right (Picard-Lefschetz).  On homology fibers
+each step is the transvection v -> v +- <v, c> c, so no twist matrix is
+built; matrices, cached on the pencil outside equality, serve only the
+monodromy products.
 
 The automorphism group Gamma of the pencil consists of the pairs
 (braid b, fiber element g) with zeta(b.x_i) = g zeta(x_i) g^(-1) and
@@ -51,7 +53,6 @@ from .words import (
     braid_from_str,
     braid_to_str,
     half_twist,
-    is_generator_conjugate,
     supporting_pair,
     word_to_str,
 )
@@ -59,9 +60,11 @@ from .fiber import (
     DISC,
     EXACT,
     SP,
+    Cycle,
     FiberElement,
     ModelMismatch,
     _as_range,
+    _normalize_sign,
     act,
     base_half_twist,
     cycle_eq,
@@ -73,6 +76,7 @@ from .fiber import (
     intersection_number,
     model_from_json,
     model_to_json,
+    symplectic_pairing,
 )
 
 MATCHING = "Matching"
@@ -124,6 +128,17 @@ class Pencil:
         if l not in self._twists:
             self._twists[l] = dehn_twist(self.cycles[l - 1]) if l > 0 else self.twist(-l).inverse()
         return self._twists[l]
+
+    def twist_cycle(self, l, x):
+        """zeta(x_l)(x).  Homology fibers take the transvection about
+        c = c_|l|, x + <x, c> c, or x - <x, c> c for l < 0 (its inverse, as
+        <c, c> = 0); the disc fiber acts by the twist."""
+        if self.fiber.kind == DISC:
+            return act(self.twist(l), x)
+        c = self.cycles[abs(l) - 1].vector
+        k = symplectic_pairing(x.vector, c) if l > 0 else -symplectic_pairing(x.vector, c)
+        v = tuple(a + k * b for a, b in zip(x.vector, c))
+        return _new(Cycle, model=self.fiber, vector=_normalize_sign(v))
 
     def total_monodromy(self):
         return monodromy_of(self, _new(FreeWord, rank=self.r, letters=tuple(range(1, self.r + 1))))
@@ -178,18 +193,23 @@ def vanishing_label(P, gamma):
     """The cycle class attached to a conjugate of a generator.
 
     L(w x_i w^(-1)) = zeta(w)(c_i), found by twisting c_i along the letters
-    of w from the right.  gamma is a FreeWord that cyclically reduces to a
-    positive generator; is_generator_conjugate finds i and w.
+    of w from the right, one twist_cycle step per letter.  gamma is a
+    FreeWord that cyclically reduces to a positive generator; w is the
+    prefix that cyclic reduction peels off.
     """
     if gamma.rank != P.r:
         raise RankMismatch("word rank %d does not match pencil size %d" % (gamma.rank, P.r))
-    decomposed = is_generator_conjugate(gamma)
-    if decomposed is None:
+    lo = _core_at(gamma.letters)
+    if lo is None:
         raise ValueError("word %r is not a conjugate of a generator" % (word_to_str(gamma),))
-    core, w = decomposed
-    c = P.cycles[core - 1]
-    for l in reversed(w.letters):
-        c = act(P.twist(l), c)
+    return _label(P, gamma.letters, lo)
+
+
+def _label(P, letters, lo):
+    """The label of the raw word letters = w x_i w^(-1), with w = letters[:lo]."""
+    c = P.cycles[letters[lo] - 1]
+    for l in reversed(letters[:lo]):
+        c = P.twist_cycle(l, c)
     return c
 
 
@@ -202,12 +222,12 @@ def hurwitz_apply(b, P):
     """
     if b.strands != P.r:
         raise RankMismatch("braid strand count %d does not match pencil size %d" % (b.strands, P.r))
-    return _relabel(P, b.inverse().action())
+    return _relabel(P, b.inverse()._images())
 
 
 def _relabel(P, img):
-    """The pencil of the labels of img: the move by b when img is b^(-1)'s action."""
-    return Pencil(P.fiber, [vanishing_label(P, w) for w in img])
+    """The pencil of the labels of the raw images img: the move by b when img is b^(-1)'s."""
+    return _new(Pencil, fiber=P.fiber, cycles=tuple(_label(P, u, _core_at(u)) for u in img), _twists={})
 
 
 def in_gamma(A, P):
@@ -440,9 +460,9 @@ def _closure(start, neighbours, depth, key):
         new_frontier = []
         for cur in frontier:
             for nxt in neighbours(cur):
-                k = key(nxt)
-                if k not in seen:
-                    seen[k] = nxt
+                n = len(seen)
+                seen.setdefault(key(nxt), nxt)
+                if len(seen) > n:
                     new_frontier.append(nxt)
         frontier = new_frontier
         if not frontier:
@@ -474,7 +494,7 @@ def kernel_orbit(a, P, gens, depth, trust_algebraic=False):
 def hurwitz_orbit(P, depth):
     """Closure of a pencil under elementary Hurwitz moves, up to given depth."""
     # the moves s_i^e; their inverses s_i^-e are the same set, acted once each
-    inverses = [Braid(P.r, (-e * i,)).action() for i in range(1, P.r) for e in (1, -1)]
+    inverses = [Braid(P.r, (-e * i,))._images() for i in range(1, P.r) for e in (1, -1)]
     return set(_closure(P, lambda cur: (_relabel(cur, img) for img in inverses), depth, lambda Q: Q))
 
 

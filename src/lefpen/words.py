@@ -25,7 +25,7 @@ supporting pairs, Hurwitz rules) are anchored to this convention.  The
 product ``x_1 x_2 .. x_r`` is fixed by every braid.
 
 Conjugates w x_i w^(-1) of generators, an arc's supporting pair among them,
-are plain ``FreeWord``s; ``is_generator_conjugate`` peels off (i, w).
+are plain ``FreeWord``s; ``_core_at`` finds where cyclic reduction leaves x_i.
 
 Serialization: braid words are space-separated tokens ``s<i>`` / ``S<i>``
 (inverse), free words ``x<i>`` / ``X<i>``, ``<i>`` in ASCII digits.  The
@@ -157,6 +157,9 @@ def is_generator_conjugate(u):
     """Decompose u as w x_i w^(-1): (i, w) with w the peeled prefix, or None.
 
     Succeeds iff the cyclic reduction of u is a single positive generator.
+    The program reads _core_at directly; only tests call it:
+    tests/test_words.py::test_is_generator_conjugate and
+    tests/test_exact_laws.py::test_generator_conjugate_decomposes_by_its_peeled_prefix.
     """
     lo = _core_at(u.letters)
     return None if lo is None else (u.letters[lo], _new(FreeWord, rank=u.rank, letters=u.letters[:lo]))

@@ -392,6 +392,10 @@ def test_numerical_reports_match_golden(capsys, argv, golden, code):
         assert capsys.readouterr().out == fh.read()
 
 
+# a short braid: on disc pencils the cycle words grow exponentially with its length
+HURWITZ = "s1 S2 s3 s1 s2"
+
+
 @pytest.mark.parametrize(
     "argv, golden, code",
     [
@@ -402,6 +406,9 @@ def test_numerical_reports_match_golden(capsys, argv, golden, code):
             0,
         ),
         (["matching", "pencil_disc3_round.json", "--max-len", "2"], "pencil_matching_disc3_round_len2.json", 0),
+        (["hurwitz", "pencil_torus_abab.json", "--braid", HURWITZ], "pencil_hurwitz_torus_abab_s1S2s3s1s2.json", 0),
+        (["hurwitz", "pencil_sp_g2_r4.json", "--braid", HURWITZ], "pencil_hurwitz_sp_g2_r4_s1S2s3s1s2.json", 0),
+        (["hurwitz", "pencil_disc3_round.json", "--braid", HURWITZ], "pencil_hurwitz_disc3_round_s1S2s3s1s2.json", 0),
         # s1 moves x1 to x1 x2 X1, whose monodromy differs: the violation names that word
         (
             ["gamma-check", "pencil_torus_abab.json", "--auto", "auto_torus_abab_s1.json"],
@@ -409,7 +416,15 @@ def test_numerical_reports_match_golden(capsys, argv, golden, code):
             1,
         ),
     ],
-    ids=["matching-torus-abab", "matching-sp-trust", "matching-disc-round", "gamma-check-moved-word"],
+    ids=[
+        "matching-torus-abab",
+        "matching-sp-trust",
+        "matching-disc-round",
+        "hurwitz-torus-abab",
+        "hurwitz-sp",
+        "hurwitz-disc-round",
+        "gamma-check-moved-word",
+    ],
 )
 def test_pencil_reports_match_golden(capsys, argv, golden, code):
     # the golden files hold the reports of an earlier release, byte for byte

@@ -291,12 +291,43 @@ def test_one_step_composes_the_action(data):
     assert stepped == tuple(artin_apply(wl, FreeWord(r, (k,))).letters for k in range(1, r + 1))
 
 
+def reference_label(P, gamma):
+    """L(w x_i w^(-1)) by acting each letter's twist matrix (or braid) on c_i, from the right."""
+    core, w = is_generator_conjugate(gamma)
+    c = P.cycles[core - 1]
+    for l in reversed(w.letters):
+        c = act(P.twist(l), c)
+    return c
+
+
+@LAWS
+@given(st.data())
+def test_twist_cycle_is_the_letters_twist_acting(data):
+    P = data.draw(pencils())
+    x = data.draw(cycles(P.fiber))
+    for l in [s * i for i in range(1, P.r + 1) for s in (1, -1)]:
+        assert P.twist_cycle(l, x) == act(P.twist(l), x)
+
+
+@LAWS
+@given(st.data())
+def test_vanishing_label_matches_the_twist_loop(data):
+    P = data.draw(pencils())
+    w = data.draw(free_words(P.r, 6))
+    gamma = w * FreeWord(P.r, (data.draw(st.integers(1, P.r)),)) * w.inverse()
+    assert vanishing_label(P, gamma) == reference_label(P, gamma)
+
+
 @pytest.mark.parametrize("name", ["pencil_torus_abab.json", "pencil_sp_g2_r4.json", "pencil_disc3_round.json"])
 def test_hurwitz_orbit_is_the_closure_of_hurwitz_apply(name):
     with open(os.path.join(DATA, name)) as fh:
         P = pencil_from_json(json.load(fh))
     moves = [Braid(P.r, (e * i,)) for i in range(1, P.r) for e in (1, -1)]
     reached = _closure(P, lambda cur: (hurwitz_apply(b, cur) for b in moves), 3, lambda Q: Q)
+    assert hurwitz_orbit(P, 3) == set(reached)
+    # and of the move by the contract, labels taken by the twist loop
+    relabel = lambda cur, b: Pencil(P.fiber, [reference_label(cur, u) for u in b.inverse().action()])
+    reached = _closure(P, lambda cur: (relabel(cur, b) for b in moves), 3, lambda Q: Q)
     assert hurwitz_orbit(P, 3) == set(reached)
 
 
