@@ -18,7 +18,6 @@ from .words import (
     braid_from_str,
     braid_to_str,
     half_twist,
-    is_generator_conjugate,
     supporting_pair,
     word_from_str,
     word_to_str,

@@ -163,14 +163,15 @@ class Cycle:
     Homology models store a primitive, sign-normalized integer vector.
     The disc model stores the canonical cyclic word; when the curve is a
     known pushforward of a standard range curve, the presentation
-    ``(carrier braid, (i, j))`` rides along so the Dehn twist about the
-    cycle stays computable.  The presentation never enters equality or
-    hashing.
+    ``(carrier braid, (i, j))`` rides along as ``support`` so the Dehn
+    twist about the cycle stays computable.  The constructor presents a
+    round range word by itself; only ``act`` carries other presentations.
+    The presentation never enters equality or hashing.
     """
 
     __slots__ = ("model", "vector", "word", "support")
 
-    def __init__(self, model, vector=None, word=None, support=None):
+    def __init__(self, model, vector=None, word=None):
         self.model = model
         if model.kind in (TORUS, SP):
             vec = _integers(vector, "cycle vector entry")
@@ -190,16 +191,10 @@ class Cycle:
             else:
                 # free reduction first, so the canonical form is well defined
                 letters = FreeWord(model.punctures, tuple(word)).letters
-            self.word, self.support = _disc_fields(model.punctures, letters, support)
+            self.word, self.support = _disc_fields(model.punctures, letters, None)
             self.vector = None
             if not self.word.letters:
                 raise ValueError("disc cycle word must be essential (nonempty after cyclic reduction)")
-            if support is not None:
-                carrier, (i, j) = support
-                pushed = artin_apply(carrier, FreeWord(model.punctures, tuple(range(i, j + 1))))
-                if _canonical_cyclic(pushed.letters) != self.word.letters:
-                    raise ValueError("support presentation does not match the cycle word")
-                self.support = (carrier, (i, j))
 
     def __eq__(self, other):
         if not isinstance(other, Cycle) or self.model != other.model:

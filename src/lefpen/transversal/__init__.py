@@ -18,8 +18,6 @@ from .localtrans import (
     TransversalityCertificate,
     VerificationError,
     ball_grid,
-    dw_dz_bound_check,
-    dw_dz_jacobian,
     eta_margin,
     eta_transverse_check,
     find_good_w0,

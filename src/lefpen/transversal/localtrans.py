@@ -43,7 +43,6 @@ import numpy as np
 
 SUP_RESOLUTION = 101  # grid resolution for the sampled sup bounds of p and q
 MAX_DEGREE = 4  # of the random instances' p and q
-FD_STEP = 1e-7  # of the dw/dz spot check
 C = 4.0  # w0 keeps clear of the C sigma-neighborhood of the near-critical image
 REVERIFY_FACTOR = 2  # reverify's grid is about this many times finer
 # array entries per block: point-target differences and the values of p, q,
@@ -191,48 +190,6 @@ def _near_critical(inst, z):
         residuals.append(residual)
         images.append(w[np.abs(dpv - np.conj(w) * dqv) <= C * inst.sigma])
     return float(np.max(residuals, initial=0.0)), np.concatenate(images)
-
-
-def dw_dz_jacobian(p, q, z):
-    """Real 2x2 Jacobian of the graph z -> w(z) at a point, closed form.
-
-    Differentiating s(z, w(z)) = 0 gives dw/dz = -(ds/dw)^(-1) ds/dz with
-    ds/dw = -(Id + antilinear multiplication by q(z)) and ds/dz the
-    complex multiplication by p'(z) - conj(w) q'(z).  Only
-    tests/test_localtrans.py::test_dw_dz_jacobian_vs_finite_differences calls it.
-    """
-    z = np.array([complex(z)])
-    w = complex(_graph(p(z), q(z))[0][0])
-    qv = complex(q(z)[0])
-    l = complex(p.deriv()(z)[0] - np.conj(w) * q.deriv()(z)[0])
-    m_w = -(np.eye(2) + np.array([[qv.real, qv.imag], [qv.imag, -qv.real]]))
-    m_z = np.array([[l.real, -l.imag], [l.imag, l.real]])
-    return -np.linalg.solve(m_w, m_z)
-
-
-def dw_dz_bound_check(p, q, z, kappa):
-    """Spot check |dw/dz| <= 2 kappa^-1 |l(z)| by finite differences.  Only
-    tests call it: tests/test_localtrans.py::test_dw_dz_bound and
-    tests/test_localtrans.py::test_dw_dz_bound_matches_per_point_svd."""
-    z = np.asarray(z, dtype=complex)
-
-    def graph(points):
-        return _graph(p(points), q(points))[0]
-
-    w0 = graph(z)
-    dp, dq = p.deriv(), q.deriv()
-    l = np.abs(dp(z) - np.conj(w0) * dq(z))
-    wx = (graph(z + FD_STEP) - graph(z - FD_STEP)) / (2.0 * FD_STEP)
-    wy = (graph(z + 1j * FD_STEP) - graph(z - 1j * FD_STEP)) / (2.0 * FD_STEP)
-    # operator norm of the real 2x2 Jacobian with columns (wx, wy), per point
-    jac = np.stack([np.stack([wx.real, wy.real], -1), np.stack([wx.imag, wy.imag], -1)], -2)
-    norms = np.linalg.svd(jac, compute_uv=False)[..., 0]
-    margin = 2.0 / kappa * l - norms
-    return {
-        "max_dw_norm": float(np.max(norms)),
-        "min_margin": float(np.min(margin)),
-        "ok": bool(np.min(margin) >= -1e-6),
-    }
 
 
 def eta_margin(fnorm, dnorm):

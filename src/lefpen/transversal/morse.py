@@ -189,9 +189,12 @@ def deform_grid(model, profile, radial=160, angular=24):
     """Sample points covering the flat core, both bands, the power annulus
     and a thin collar outside the deformation ball.
 
-    n = 2 uses evenly spaced directions on the circle; other dimensions
-    draw a fixed set of unit directions from a seeded generator, so the
-    grid is deterministic.
+    h is invariant under the rotations that keep the signs S of the first
+    critical point, so a direction r matters only through r^T S r.  For
+    n >= 2 the directions are ``angular`` evenly spaced angles on the
+    circle through the first + axis and the first - axis (axes 1 and 2
+    when all signs agree), which reach r^T S r = cos 2 phi in every
+    dimension; n = 1 has the two directions +-1.
     """
     sqrt_k = float(np.sqrt(profile.k))
     ball = sqrt_k * profile.c0
@@ -203,16 +206,14 @@ def deform_grid(model, profile, radial=160, angular=24):
             np.linspace(ball * 1.01, ball * 1.25, 4) if model.background is not None else [],
         ]
     )
-    n = model.n
-    if n == 2:
-        angles = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
-        dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
-    elif n == 1:
+    n, signs = model.n, list(model.crits[0].signs)
+    if n == 1:
         dirs = np.array([[1.0], [-1.0]])
     else:
-        rng = np.random.default_rng(0)
-        dirs = rng.normal(size=(angular, n))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        axes = [signs.index(1), signs.index(-1)] if len(set(signs)) == 2 else [0, 1]
+        angles = np.linspace(0.0, 2.0 * np.pi, angular, endpoint=False)
+        dirs = np.zeros((angular, n))
+        dirs[:, axes] = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     center = sqrt_k * np.asarray(model.crits[0].center, dtype=float)
     shells = radii[radii != 0.0, None, None] * dirs  # (radius, direction, coordinate)
     return np.concatenate([center[None], center + shells.reshape(-1, n)])

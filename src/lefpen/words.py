@@ -153,18 +153,6 @@ def _core_at(letters):
     return lo if hi - lo == 1 and letters[lo] > 0 else None
 
 
-def is_generator_conjugate(u):
-    """Decompose u as w x_i w^(-1): (i, w) with w the peeled prefix, or None.
-
-    Succeeds iff the cyclic reduction of u is a single positive generator.
-    The program reads _core_at directly; only tests call it:
-    tests/test_words.py::test_is_generator_conjugate and
-    tests/test_exact_laws.py::test_generator_conjugate_decomposes_by_its_peeled_prefix.
-    """
-    lo = _core_at(u.letters)
-    return None if lo is None else (u.letters[lo], _new(FreeWord, rank=u.rank, letters=u.letters[:lo]))
-
-
 class Braid:
     """A braid word on ``strands`` strands.
 

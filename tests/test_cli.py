@@ -266,12 +266,14 @@ PENCIL_COMMANDS = {
     "matching": ["--max-len", "1"],
     "gamma-check": ["--auto"],  # the automorphism file's path follows
 }
+# loads, but "x1 x3" is no round range curve, so nothing can twist about it
+UNTWISTABLE = {"fiber": {"model": "disc", "punctures": 3}, "cycles": ["x1 x3", "x2 x3"]}
 MALFORMED = [
-    pytest.param(command, doc, GOOD_AUTO, id="%s-%s" % (command, name))
+    pytest.param(command, doc, GOOD_AUTO, PENCIL_COMMANDS[command], id="%s-%s" % (command, name))
     for name, doc in BAD_PENCILS.items()
     for command in PENCIL_COMMANDS
 ] + [
-    pytest.param("gamma-check", GOOD_PENCIL, doc, id="gamma-check-" + name)
+    pytest.param("gamma-check", GOOD_PENCIL, doc, ["--auto"], id="gamma-check-" + name)
     for name, doc in BAD_AUTOS.items()
 ] + [
     # a disc cycle with no pushforward presentation has no Dehn twist
@@ -279,17 +281,25 @@ MALFORMED = [
         "matching",
         {"fiber": {"model": "disc", "punctures": 3}, "cycles": ["x1 x3", "x2", "x1 x2"]},
         GOOD_AUTO,
+        ["--max-len", "1"],
         id="matching-untwistable-disc-cycle",
     ),
+] + [
+    # every command that twists about such a cycle, even by the identity, exits 2
+    pytest.param("gamma-check", UNTWISTABLE, {"braid": b, "fiber_element": ""}, ["--auto"], id="gamma-check-untwistable-" + name)
+    for name, b in (("identity", ""), ("s1", "s1"))
+] + [
+    pytest.param("validate", UNTWISTABLE, GOOD_AUTO, ["--closed"], id="validate-closed-untwistable"),
+    pytest.param("hurwitz", UNTWISTABLE, GOOD_AUTO, ["--braid", "s1"], id="hurwitz-untwistable"),
 ]
 
 
-@pytest.mark.parametrize("command, pencil, auto", MALFORMED)
-def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, command, pencil, auto):
+@pytest.mark.parametrize("command, pencil, auto, args", MALFORMED)
+def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, command, pencil, auto, args):
     pencil_path, auto_path = tmp_path / "pencil.json", tmp_path / "auto.json"
     pencil_path.write_text(json.dumps(pencil))
     auto_path.write_text(json.dumps(auto))
-    argv = ["pencil", command, str(pencil_path)] + PENCIL_COMMANDS[command]
+    argv = ["pencil", command, str(pencil_path)] + args
     if command == "gamma-check":
         argv.append(str(auto_path))
     assert main(argv) == 2

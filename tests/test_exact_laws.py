@@ -23,11 +23,12 @@ from lefpen.words import (
     Braid,
     FreeWord,
     RankMismatch,
+    _core_at,
+    _new,
     _step,
     artin_apply,
     braid_from_str,
     half_twist,
-    is_generator_conjugate,
     supporting_pair,
     word_from_str,
 )
@@ -52,6 +53,7 @@ from lefpen.pencil import (
     enumerate_arcs,
     hurwitz_apply,
     hurwitz_orbit,
+    monodromy_of,
     pencil_from_json,
     pencil_to_json,
     vanishing_label,
@@ -174,9 +176,17 @@ def rebuilt_word(u):
 
 
 def rebuilt_cycle(c):
-    if c.model.kind == "disc":
-        return Cycle(c.model, word=c.word, support=c.support)
-    return Cycle(c.model, vector=c.vector)
+    """c through the public constructor.  A disc cycle's carried presentation
+    (carrier, (i, j)) must push the round curve around i..j to its word."""
+    if c.model.kind != "disc":
+        return Cycle(c.model, vector=c.vector)
+    back = Cycle(c.model, word=c.word)
+    if c.support is not None:
+        carrier, (i, j) = c.support
+        pushed = artin_apply(carrier, FreeWord(c.model.punctures, tuple(range(i, j + 1))))
+        assert _canonical_cyclic(pushed.letters) == c.word.letters, c
+        back.support = c.support
+    return back
 
 
 def column_twist_matrix(c):
@@ -268,7 +278,7 @@ def test_word_algebra_results_pass_the_public_constructor(data):
     assert b.action() == tuple(artin_apply(b, FreeWord(r, (k,))) for k in range(1, r + 1))
     built += b.action()
     for eta in supporting_pair(a):
-        built += [eta, is_generator_conjugate(eta)[1]]
+        built += [eta, generator_conjugate(eta)[1]]
     torus = FiberModel.torus()
     for a in enumerate_arcs(Pencil(torus, [Cycle(torus, vector=(1, 0))] * r), 2):
         built += [a.carrier, *a.carrier.action()]
@@ -291,9 +301,15 @@ def test_one_step_composes_the_action(data):
     assert stepped == tuple(artin_apply(wl, FreeWord(r, (k,))).letters for k in range(1, r + 1))
 
 
+def generator_conjugate(u):
+    """Reference: u = w x_i w^(-1) as (i, w), w the prefix that cyclic reduction peels, or None."""
+    lo = _core_at(u.letters)
+    return None if lo is None else (u.letters[lo], _new(FreeWord, rank=u.rank, letters=u.letters[:lo]))
+
+
 def reference_label(P, gamma):
     """L(w x_i w^(-1)) by acting each letter's twist matrix (or braid) on c_i, from the right."""
-    core, w = is_generator_conjugate(gamma)
+    core, w = generator_conjugate(gamma)
     c = P.cycles[core - 1]
     for l in reversed(w.letters):
         c = act(P.twist(l), c)
@@ -341,7 +357,52 @@ def test_generator_conjugate_decomposes_by_its_peeled_prefix(data):
     stripped = w.letters
     while stripped and abs(stripped[-1]) == i:
         stripped = stripped[:-1]
-    assert is_generator_conjugate(w * FreeWord(r, (i,)) * w.inverse()) == (i, FreeWord(r, stripped))
+    assert generator_conjugate(w * FreeWord(r, (i,)) * w.inverse()) == (i, FreeWord(r, stripped))
+
+
+@st.composite
+def stabilizer_candidates(draw):
+    """(P, b, g) with P's cycles drawn from a pool of two, so that labels often agree.
+    Disc cycles are round ranges, b has at most 3 letters and g at most one twist,
+    since disc words grow with every twist; homology g may also move by the
+    monodromy of an image's peeled prefix, which carries its core's label."""
+    model = draw(models())
+    disc = model.kind == "disc"
+    if disc:
+        ends = st.tuples(st.integers(1, model.punctures), st.integers(1, model.punctures))
+        curves = ends.map(lambda e: standard_curve(model, min(e), max(e)))
+    else:
+        curves = cycles(model)
+    pool = [draw(curves) for _ in range(2)]
+    P = Pencil(model, [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(2, 4)))])
+    b = draw(braids(P.r, 3 if disc else 6))
+    twist = dehn_twist(draw(st.sampled_from(pool) | curves))
+    g = draw(st.sampled_from([FiberElement.identity(model), twist, twist.inverse()]))
+    if not disc:
+        g = g * draw(elements(model))
+        if draw(st.booleans()):
+            u = draw(st.sampled_from(b.action()))
+            g = monodromy_of(P, generator_conjugate(u)[1]) * g
+    return P, b, g
+
+
+DISC2 = FiberModel.disc(2)
+PUNCTURE_CURVES = Pencil(DISC2, [standard_curve(DISC2, 1, 1), standard_curve(DISC2, 2, 2)])
+
+
+@LAWS
+@given(stabilizer_candidates())
+@example((PUNCTURE_CURVES, Braid(2, (1,)), FiberElement.identity(DISC2)))
+def test_label_agreement_decides_monodromy_agreement(case):
+    # zeta(w x_i w^(-1)) = T_{zeta(w) c_i} and g T_c g^(-1) = T_{g c}, so equal labels give
+    # equal monodromy; T_a = T_b iff a = +-b on homology, while on the disc a curve
+    # around one puncture has a trivial twist (the example: labels differ, twists agree)
+    P, b, g = case
+    ginv = g.inverse()
+    for i, u in enumerate(b.action(), 1):
+        label = vanishing_label(P, u) == act(g, P.cycles[i - 1])
+        monodromy = monodromy_of(P, u) == g * P.twist(i) * ginv
+        assert label <= monodromy if P.fiber.kind == "disc" else label == monodromy
 
 
 @LAWS
@@ -400,7 +461,7 @@ def test_act_equals_its_public_rebuild(data):
     model = data.draw(models())
     g = data.draw(elements(model))
     image = act(g, data.draw(any_cycles(model)))
-    back = rebuilt_cycle(image)  # disc: the carried support passes the support check
+    back = rebuilt_cycle(image)  # disc: the carried presentation pushes to the word
     assert back == image and hash(back) == hash(image)
     assert back.vector == image.vector and back.word == image.word
     assert back.support == image.support

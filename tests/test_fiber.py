@@ -266,12 +266,6 @@ def test_intersection_symmetry():
             assert intersection_number(a, b) == intersection_number(b, a)
 
 
-def test_support_consistency_enforced():
-    m = FiberModel.disc(3)
-    with pytest.raises(ValueError):
-        Cycle(m, word=(1,), support=(Braid(3), (2, 3)))
-
-
 def test_model_mismatch():
     with pytest.raises(ModelMismatch):
         intersection_number(Cycle(TORUS, vector=(1, 0)), Cycle(FiberModel.sp(1), vector=(1, 0)))

@@ -10,14 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from lefpen.transversal import localtrans
 from lefpen.transversal.localtrans import (
-    FD_STEP,
     CPoly,
     LocalTransInstance,
     VerificationError,
     _graph,
     ball_grid,
-    dw_dz_bound_check,
-    dw_dz_jacobian,
     eta_margin,
     eta_transverse_check,
     find_good_w0,
@@ -193,6 +190,43 @@ def test_solve_w_residual_small():
     for _ in range(20):
         inst = random_instance(rng)
         assert solve_w_residual(inst.p, inst.q, z) < 1e-10
+
+
+# references for the graph's derivative along z: the closed-form Jacobian and a
+# finite-difference spot check of |dw/dz| <= 2 kappa^-1 |l(z)|, both through _graph
+FD_STEP = 1e-7
+
+
+def dw_dz_jacobian(p, q, z):
+    """Real 2x2 Jacobian of the graph z -> w(z) at a point, closed form.
+
+    Differentiating s(z, w(z)) = 0 gives dw/dz = -(ds/dw)^(-1) ds/dz with
+    ds/dw = -(Id + antilinear multiplication by q(z)) and ds/dz the
+    complex multiplication by p'(z) - conj(w) q'(z).
+    """
+    z = np.array([complex(z)])
+    w = complex(_w(p, q, z)[0])
+    qv = complex(q(z)[0])
+    l = complex(p.deriv()(z)[0] - np.conj(w) * q.deriv()(z)[0])
+    m_w = -(np.eye(2) + np.array([[qv.real, qv.imag], [qv.imag, -qv.real]]))
+    m_z = np.array([[l.real, -l.imag], [l.imag, l.real]])
+    return -np.linalg.solve(m_w, m_z)
+
+
+def dw_dz_bound_check(p, q, z, kappa):
+    z = np.asarray(z, dtype=complex)
+    l = np.abs(p.deriv()(z) - np.conj(_w(p, q, z)) * q.deriv()(z))
+    wx = (_w(p, q, z + FD_STEP) - _w(p, q, z - FD_STEP)) / (2.0 * FD_STEP)
+    wy = (_w(p, q, z + 1j * FD_STEP) - _w(p, q, z - 1j * FD_STEP)) / (2.0 * FD_STEP)
+    # operator norm of the real 2x2 Jacobian with columns (wx, wy), per point
+    jac = np.stack([np.stack([wx.real, wy.real], -1), np.stack([wx.imag, wy.imag], -1)], -2)
+    norms = np.linalg.svd(jac, compute_uv=False)[..., 0]
+    margin = 2.0 / kappa * l - norms
+    return {
+        "max_dw_norm": float(np.max(norms)),
+        "min_margin": float(np.min(margin)),
+        "ok": bool(np.min(margin) >= -1e-6),
+    }
 
 
 def test_dw_dz_bound():

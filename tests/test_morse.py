@@ -207,6 +207,22 @@ def test_three_dimensional_model():
     assert rep["etaObserved"] > 0
 
 
+def test_deform_bounds_take_the_planes_values_in_every_dimension():
+    # h sees a direction r only through r^T S r, which the plane of the first + and
+    # - axes already spans, so the extra dimensions reach no larger gradient or
+    # smaller transversality constant
+    profile = build_cutoff(1e3, 1.0, 1.0)
+
+    def report(n):
+        model = MorseModel.quadratic(n, value=0.5)
+        return verify_deform_bounds(DeformedMorse(model, profile), deform_grid(model, profile))
+
+    plane = report(2)
+    for n in (3, 4, 5):
+        rep = report(n)
+        assert (rep["maxGrad"], rep["etaObserved"]) == (plane["maxGrad"], plane["etaObserved"]), n
+
+
 def test_third_derivative_scales_like_one_over_D():
     # max|d^3 h| * D stays within a factor 3 across D at fixed k
     vals = []

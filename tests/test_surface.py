@@ -4,7 +4,9 @@ Every name that ``lefpen/__init__.py`` or ``lefpen/transversal/__init__.py``
 exports is either referenced by the program (the source outside the
 ``__init__`` files, read as an AST, or by text the benchmark scripts and the
 README's library example), or its docstring names, as
-``tests/<file>.py::<test>``, the tests that are its only callers.
+``tests/<file>.py::<test>``, the tests that are its only callers.  Each
+test a docstring names calls what names it, for the exports and the public
+methods of the exported classes alike.
 """
 
 import ast
@@ -68,7 +70,13 @@ def test_every_export_is_used_or_names_its_test():
 
 def test_docstring_named_tests_call_what_names_them():
     objects = [getattr(p, n) for p in (lefpen, lefpen.transversal) for n in exports(p)]
-    objects.append(lefpen.transversal.LocalTransInstance.validate)
+    objects += [
+        getattr(cls, name)
+        for cls in objects
+        if inspect.isclass(cls)
+        for name in vars(cls)
+        if not name.startswith("_") and inspect.isroutine(getattr(cls, name))
+    ]
     for obj in objects:
         for file, test in named_tests(obj):
             source = (ROOT / "tests" / (file + ".py")).read_text()

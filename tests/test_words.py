@@ -7,11 +7,11 @@ from lefpen.words import (
     Braid,
     FreeWord,
     RankMismatch,
+    _core_at,
     artin_apply,
     braid_from_str,
     braid_to_str,
     half_twist,
-    is_generator_conjugate,
     supporting_pair,
     word_from_str,
     word_to_str,
@@ -60,10 +60,11 @@ def test_rank_mismatch():
 
 
 def test_is_generator_conjugate():
-    assert is_generator_conjugate(FreeWord(3, (2,))) == (2, FreeWord(3))
-    assert is_generator_conjugate(FreeWord(3, (1, 3, -1))) == (3, FreeWord(3, (1,)))
-    assert is_generator_conjugate(FreeWord(3, (1, -2, -1))) is None
-    assert is_generator_conjugate(FreeWord(3, (1, 2))) is None
+    # letters = w x_i w^(-1) with w = letters[:lo] and x_i = letters[lo] for lo = _core_at(letters)
+    assert _core_at((2,)) == 0
+    assert _core_at((1, 3, -1)) == 1
+    assert _core_at((1, -2, -1)) is None
+    assert _core_at((1, 2)) is None
 
 
 def test_generator_conjugate_roundtrip_random():
@@ -71,9 +72,10 @@ def test_generator_conjugate_roundtrip_random():
         w = rand_word(4)
         i = rng.randint(1, 4)
         u = w * FreeWord(4, (i,)) * w.inverse()
-        gc = is_generator_conjugate(u)
-        assert gc is not None and gc[0] == i
-        assert gc[1] * FreeWord(4, (i,)) * gc[1].inverse() == u
+        lo = _core_at(u.letters)
+        assert lo is not None and u.letters[lo] == i
+        peeled = FreeWord(4, u.letters[:lo])
+        assert peeled * FreeWord(4, (i,)) * peeled.inverse() == u
 
 
 def test_artin_generator_rules():
@@ -175,7 +177,7 @@ def test_artin_preserves_generator_conjugates():
         gc = w * FreeWord(r, (rng.randint(1, r),)) * w.inverse()
         b = rand_braid(r) if r > 1 else Braid(r)
         image = artin_apply(b, gc)
-        assert is_generator_conjugate(image) is not None
+        assert _core_at(image.letters) is not None
 
 
 def test_serialization_roundtrip():
