@@ -364,8 +364,9 @@ def test_generator_conjugate_decomposes_by_its_peeled_prefix(data):
 def stabilizer_candidates(draw):
     """(P, b, g) with P's cycles drawn from a pool of two, so that labels often agree.
     Disc cycles are round ranges, b has at most 3 letters and g at most one twist,
-    since disc words grow with every twist; homology g may also move by the
-    monodromy of an image's peeled prefix, which carries its core's label."""
+    since disc words grow with every twist.  A homology g may also start with
+    zeta(w) for the peeled prefix w of one image w x_k w^(-1), which maps c_k to
+    that image's label."""
     model = draw(models())
     disc = model.kind == "disc"
     if disc:
