@@ -64,18 +64,6 @@ class FiberModel:
         if self.kind == DISC and self.punctures < 2:
             raise ValueError("disc model needs at least 2 punctures")
 
-    @classmethod
-    def torus(cls):
-        return cls(TORUS)
-
-    @classmethod
-    def sp(cls, genus):
-        return cls(SP, genus=genus)
-
-    @classmethod
-    def disc(cls, punctures):
-        return cls(DISC, punctures=punctures)
-
     @property
     def dim(self):
         """Length of homology vectors (homology models only)."""
@@ -334,8 +322,9 @@ def dehn_twist(c):
         return _new(FiberElement, model=model, matrix=mat)
     if c.support is None:
         raise UnsupportedCycle(
-            "disc cycle %r has no pushforward presentation; build it via "
-            "standard_curve/act" % (word_to_str(c.word),)
+            "disc cycle %r cannot be twisted: a disc cycle read from a file must be a round range "
+            "word such as 'x2 x3'; library code can also twist act(g, standard_curve(model, i, j))"
+            % (word_to_str(c.word),)
         )
     carrier, (i, j) = c.support
     return _new(FiberElement, model=model, braid=carrier * full_twist(model.punctures, i, j) * carrier.inverse())
@@ -422,7 +411,7 @@ def model_from_json(doc):
         raise ValueError("fiber must be an object with a 'model' field, got %r" % (doc,))
     kind = doc.get("model")
     if kind == TORUS:
-        return FiberModel.torus()
+        return FiberModel(TORUS)
     if kind in (SP, DISC):
         field = "genus" if kind == SP else "punctures"
         if field not in doc:

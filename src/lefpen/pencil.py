@@ -7,13 +7,15 @@ with the labelling L(w x_i w^(-1)) = zeta(w)(c_i) of all conjugates of
 generators by cycle classes.  A label twists c_i along w's letters one
 letter at a time, from the right (Picard-Lefschetz).  On homology fibers
 each step is the transvection v -> v +- <v, c> c, so no twist matrix is
-built; matrices, cached on the pencil outside equality, serve only the
-monodromy products.
+built; matrices, cached on the pencil outside equality, serve only
+monodromy_of, the total monodromy and reports of failed stabilizer checks.
 
 The automorphism group Gamma of the pencil consists of the pairs
 (braid b, fiber element g) with zeta(b.x_i) = g zeta(x_i) g^(-1) and
 L(b.x_i) = g(c_i) for every generator; checking on generators suffices
-because both sides are natural in the word.
+because both sides are natural in the word.  As zeta(w x_i w^(-1)) =
+T_{zeta(w) c_i} and g T_c g^(-1) = T_{g(c)}, the label condition implies
+the monodromy one, so Gamma is decided by labels alone.
 
 Hurwitz moves are the braid action on factorizations characterized by
 "the moved pencil, precomposed with b, has the original monodromy data":
@@ -236,33 +238,31 @@ def in_gamma(A, P):
 
 
 def in_gamma_detail(A, P):
-    """Like in_gamma, but reports the first violated generator with both sides."""
+    """Like in_gamma, but reports the first violated generator with both sides.
+
+    Decided by labels; both monodromy sides are built only where the labels
+    differ, and reported if they differ too.  The twists of u's letters and
+    of x_i come first, so an untwistable disc cycle raises UnsupportedCycle.
+    """
     if A.b.strands != P.r:
         raise RankMismatch("automorphism braid strand count does not match pencil size")
     if A.g.model != P.fiber:
         raise ModelMismatch("automorphism fiber element lives in the wrong model")
-    ginv = A.g.inverse()
     for i, u in enumerate(A.b.action(), 1):
-        lhs_elem = monodromy_of(P, u)
-        rhs_elem = A.g * P.twist(i) * ginv
-        if lhs_elem != rhs_elem:
-            return False, {
-                "generator": i,
-                "check": "monodromy",
-                "moved_word": word_to_str(u),
-                "lhs": element_to_json(lhs_elem),
-                "rhs": element_to_json(rhs_elem),
-            }
-        lhs_lab = vanishing_label(P, u)
-        rhs_lab = act(A.g, P.cycles[i - 1])
-        if not cycle_eq(lhs_lab, rhs_lab):
-            return False, {
-                "generator": i,
-                "check": "label",
-                "moved_word": word_to_str(u),
-                "lhs": cycle_to_json(lhs_lab),
-                "rhs": cycle_to_json(rhs_lab),
-            }
+        for l in u.letters + (i,):
+            P.twist(l)
+        lhs, rhs = vanishing_label(P, u), act(A.g, P.cycles[i - 1])
+        if cycle_eq(lhs, rhs):
+            continue
+        lhs_elem, rhs_elem = monodromy_of(P, u), A.g * P.twist(i) * A.g.inverse()
+        monodromy = lhs_elem != rhs_elem
+        return False, {
+            "generator": i,
+            "check": "monodromy" if monodromy else "label",
+            "moved_word": word_to_str(u),
+            "lhs": element_to_json(lhs_elem) if monodromy else cycle_to_json(lhs),
+            "rhs": element_to_json(rhs_elem) if monodromy else cycle_to_json(rhs),
+        }
     return True, None
 
 

@@ -56,7 +56,7 @@ from lefpen.transversal import (
 )
 from lefpen.transversal.localtrans import VerificationError
 
-T = FiberModel.torus()
+T = FiberModel("torus")
 A = Cycle(T, vector=(1, 0))
 B = Cycle(T, vector=(0, 1))
 
@@ -154,13 +154,13 @@ def test_criterion_3_kernel_elements_on_abab():
 
 
 def test_criterion_4_lantern_and_base_twist():
-    m = FiberModel.disc(3)
+    m = FiberModel("disc", punctures=3)
     a12 = dehn_twist(standard_curve(m, 1, 2))
     a13 = dehn_twist(act(FiberElement(m, braid=Braid(3, (2,))), standard_curve(m, 1, 2)))
     a23 = dehn_twist(standard_curve(m, 2, 3))
     lantern = (a12 * a13 * a23).braid == full_twist(3, 1, 3)
 
-    m2 = FiberModel.disc(2)
+    m2 = FiberModel("disc", punctures=2)
     P = Pencil(m2, (standard_curve(m2, 1, 1), standard_curve(m2, 2, 2)))
     arc = Arc(1, Braid(2))
     d = Arc(1, Braid(2))

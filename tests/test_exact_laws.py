@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import lefpen.pencil
 from lefpen.words import (
     Arc,
     Braid,
@@ -31,6 +32,7 @@ from lefpen.words import (
     half_twist,
     supporting_pair,
     word_from_str,
+    word_to_str,
 )
 from lefpen.fiber import (
     Cycle,
@@ -39,7 +41,10 @@ from lefpen.fiber import (
     _canonical_cyclic,
     act,
     base_half_twist,
+    cycle_eq,
+    cycle_to_json,
     dehn_twist,
+    element_to_json,
     full_twist,
     standard_curve,
     symplectic_pairing,
@@ -53,6 +58,7 @@ from lefpen.pencil import (
     enumerate_arcs,
     hurwitz_apply,
     hurwitz_orbit,
+    in_gamma_detail,
     monodromy_of,
     pencil_from_json,
     pencil_to_json,
@@ -82,10 +88,10 @@ def primitive(dim):
 def models(draw):
     kind = draw(st.sampled_from(["torus", "sp", "disc"]))
     if kind == "torus":
-        return FiberModel.torus()
+        return FiberModel("torus")
     if kind == "sp":
-        return FiberModel.sp(draw(st.integers(1, 3)))
-    return FiberModel.disc(draw(st.integers(2, 4)))
+        return FiberModel("sp", genus=draw(st.integers(1, 3)))
+    return FiberModel("disc", punctures=draw(st.integers(2, 4)))
 
 
 @st.composite
@@ -279,7 +285,7 @@ def test_word_algebra_results_pass_the_public_constructor(data):
     built += b.action()
     for eta in supporting_pair(a):
         built += [eta, generator_conjugate(eta)[1]]
-    torus = FiberModel.torus()
+    torus = FiberModel("torus")
     for a in enumerate_arcs(Pencil(torus, [Cycle(torus, vector=(1, 0))] * r), 2):
         built += [a.carrier, *a.carrier.action()]
     for x in built:
@@ -387,7 +393,7 @@ def stabilizer_candidates(draw):
     return P, b, g
 
 
-DISC2 = FiberModel.disc(2)
+DISC2 = FiberModel("disc", punctures=2)
 PUNCTURE_CURVES = Pencil(DISC2, [standard_curve(DISC2, 1, 1), standard_curve(DISC2, 2, 2)])
 
 
@@ -404,6 +410,66 @@ def test_label_agreement_decides_monodromy_agreement(case):
         label = vanishing_label(P, u) == act(g, P.cycles[i - 1])
         monodromy = monodromy_of(P, u) == g * P.twist(i) * ginv
         assert label <= monodromy if P.fiber.kind == "disc" else label == monodromy
+
+
+def in_gamma_detail_reference(A, P):
+    """Membership decided in two halves per generator: the monodromy sides first, then the labels."""
+    ginv = A.g.inverse()
+    for i, u in enumerate(A.b.action(), 1):
+        lhs_elem = monodromy_of(P, u)
+        rhs_elem = A.g * P.twist(i) * ginv
+        if lhs_elem != rhs_elem:
+            return False, {
+                "generator": i,
+                "check": "monodromy",
+                "moved_word": word_to_str(u),
+                "lhs": element_to_json(lhs_elem),
+                "rhs": element_to_json(rhs_elem),
+            }
+        lhs_lab = vanishing_label(P, u)
+        rhs_lab = act(A.g, P.cycles[i - 1])
+        if not cycle_eq(lhs_lab, rhs_lab):
+            return False, {
+                "generator": i,
+                "check": "label",
+                "moved_word": word_to_str(u),
+                "lhs": cycle_to_json(lhs_lab),
+                "rhs": cycle_to_json(rhs_lab),
+            }
+    return True, None
+
+
+def counted(f, calls):
+    def wrapper(*args):
+        calls.append(f.__name__)
+        return f(*args)
+
+    return wrapper
+
+
+TORUS = FiberModel("torus")
+TWICE_A = Pencil(TORUS, [Cycle(TORUS, vector=(1, 0))] * 2)
+
+
+@LAWS
+@given(stabilizer_candidates())
+@example((PUNCTURE_CURVES, Braid(2, (1,)), FiberElement.identity(DISC2)))
+@example((TWICE_A, Braid(2, (1,)), FiberElement.identity(TORUS)))
+def test_in_gamma_detail_matches_the_two_half_reference(case):
+    # the same verdict and report; a member's check builds no monodromy product, a failing
+    # one builds it at the reported generator only
+    P, b, g = case
+    A = Automorphism(b, g)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lefpen.pencil, "monodromy_of", counted(monodromy_of, calls))
+        mp.setattr(FiberElement, "__mul__", counted(FiberElement.__mul__, calls))
+        got = in_gamma_detail(A, P)
+    assert got == in_gamma_detail_reference(A, P)
+    if got[0]:
+        assert calls == []
+    else:
+        assert calls.count("monodromy_of") == 1
 
 
 @LAWS

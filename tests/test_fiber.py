@@ -27,7 +27,7 @@ from lefpen.fiber import (
 
 rng = random.Random(7)
 
-TORUS = FiberModel.torus()
+TORUS = FiberModel("torus")
 
 
 def primitive_vectors(bound):
@@ -127,7 +127,7 @@ def test_conjugation_equivariance_torus():
 
 
 def test_sp_model():
-    m = FiberModel.sp(2)
+    m = FiberModel("sp", genus=2)
     u = Cycle(m, vector=(1, 0, 0, 0))
     v = Cycle(m, vector=(0, 0, 1, 0))
     assert intersection_number(u, v) == (0, LOWER_BOUND)
@@ -141,7 +141,7 @@ def test_sp_model():
 
 
 def test_sp_matrices_stay_symplectic():
-    m = FiberModel.sp(2)
+    m = FiberModel("sp", genus=2)
     vecs = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 1), (1, 0, 2, 1)]
     els = [dehn_twist(Cycle(m, vector=v)) for v in vecs]
     g = FiberElement.identity(m)
@@ -159,7 +159,7 @@ def test_non_symplectic_matrix_rejected():
 
 
 def test_sp_conjugation_equivariance():
-    m = FiberModel.sp(2)
+    m = FiberModel("sp", genus=2)
     vecs = [(1, 0, 0, 0), (0, 1, 1, 0), (0, 0, 1, 0), (1, 1, 1, 1)]
     for va in vecs:
         for vb in vecs:
@@ -169,7 +169,7 @@ def test_sp_conjugation_equivariance():
 
 
 def test_disc_canonical_cyclic_words():
-    m = FiberModel.disc(3)
+    m = FiberModel("disc", punctures=3)
     c1 = Cycle(m, word=(1, 2))
     c2 = Cycle(m, word=(2, 1))
     assert cycle_eq(c1, c2)
@@ -184,7 +184,7 @@ def test_disc_canonical_cyclic_words():
 
 
 def test_disc_dehn_twist_range_curves():
-    m = FiberModel.disc(3)
+    m = FiberModel("disc", punctures=3)
     assert dehn_twist(standard_curve(m, 1, 2)).braid == full_twist(3, 1, 2)
     assert dehn_twist(standard_curve(m, 2, 2)).braid == Braid(3)
     assert full_twist(3, 1, 3) == Braid(3, (1, 2)) ** 3
@@ -196,7 +196,7 @@ def test_disc_dehn_twist_range_curves():
 
 def test_disc_twist_well_defined_on_class():
     # the same curve class through two different pushforwards
-    m = FiberModel.disc(3)
+    m = FiberModel("disc", punctures=3)
     a = act(FiberElement(m, braid=Braid(3, (1,))), standard_curve(m, 2, 3))
     b = act(FiberElement(m, braid=Braid(3, (-2,))), standard_curve(m, 1, 2))
     assert cycle_eq(a, b)
@@ -204,14 +204,14 @@ def test_disc_twist_well_defined_on_class():
 
 
 def test_disc_twist_needs_presentation():
-    m = FiberModel.disc(3)
+    m = FiberModel("disc", punctures=3)
     c = cycle_from_json(m, "x1 x2 x3 X2")
     with pytest.raises(UnsupportedCycle):
         dehn_twist(c)
 
 
 def test_disc_conjugation_equivariance():
-    m = FiberModel.disc(4)
+    m = FiberModel("disc", punctures=4)
     for letters in [(1,), (2, 3), (-1, 2), (3, -2, 1)]:
         g = FiberElement(m, braid=Braid(4, letters))
         for i, j in [(1, 2), (2, 4), (3, 3)]:
@@ -220,7 +220,7 @@ def test_disc_conjugation_equivariance():
 
 
 def test_disc_intersection_ranges():
-    m = FiberModel.disc(4)
+    m = FiberModel("disc", punctures=4)
     c12 = standard_curve(m, 1, 2)
     c34 = standard_curve(m, 3, 4)
     c14 = standard_curve(m, 1, 4)
@@ -233,7 +233,7 @@ def test_disc_intersection_ranges():
 
 
 def test_base_half_twist():
-    m = FiberModel.disc(2)
+    m = FiberModel("disc", punctures=2)
     d = Arc(1, Braid(2))
     tw = base_half_twist(d, m)
     assert tw.braid == Braid(2, (1,))
@@ -245,7 +245,7 @@ def test_base_half_twist():
 
 
 def test_lantern_relation():
-    m = FiberModel.disc(3)
+    m = FiberModel("disc", punctures=3)
     a12 = dehn_twist(standard_curve(m, 1, 2))
     a13 = dehn_twist(act(FiberElement(m, braid=Braid(3, (2,))), standard_curve(m, 1, 2)))
     a23 = dehn_twist(standard_curve(m, 2, 3))
@@ -258,7 +258,7 @@ def test_intersection_symmetry():
         c1 = Cycle(TORUS, vector=rng.choice(vecs))
         c2 = Cycle(TORUS, vector=rng.choice(vecs))
         assert intersection_number(c1, c2) == intersection_number(c2, c1)
-    m = FiberModel.disc(4)
+    m = FiberModel("disc", punctures=4)
     pairs = [(1, 2), (2, 3), (1, 4), (3, 3)]
     for i1, j1 in pairs:
         for i2, j2 in pairs:
@@ -268,16 +268,16 @@ def test_intersection_symmetry():
 
 def test_model_mismatch():
     with pytest.raises(ModelMismatch):
-        intersection_number(Cycle(TORUS, vector=(1, 0)), Cycle(FiberModel.sp(1), vector=(1, 0)))
+        intersection_number(Cycle(TORUS, vector=(1, 0)), Cycle(FiberModel("sp", genus=1), vector=(1, 0)))
 
 
 def test_json_roundtrip():
-    m = FiberModel.sp(2)
+    m = FiberModel("sp", genus=2)
     c = Cycle(m, vector=(1, 0, 2, 1))
     assert cycle_from_json(m, cycle_to_json(c)) == c
     g = dehn_twist(c)
     assert element_from_json(m, element_to_json(g)) == g
-    md = FiberModel.disc(3)
+    md = FiberModel("disc", punctures=3)
     cd = standard_curve(md, 1, 2)
     assert cycle_to_json(cd) == "x1 x2"
     assert cycle_from_json(md, "x1 x2") == cd
