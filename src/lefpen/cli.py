@@ -40,7 +40,7 @@ from .transversal import (
     VerificationError,
     ball_grid,
     build_cutoff,
-    central_difference,
+    deform_fd_check,
     deform_grid,
     find_good_w0,
     min_admissible_k,
@@ -55,8 +55,6 @@ from .transversal import (
 from .transversal.localtrans import BLOCK_ENTRIES, SUP_RESOLUTION
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
-
-FD_SAMPLES, FD_SEED = 24, 7  # verify deform's gradient vs central differences
 
 
 def _emit(report, out_path, code):
@@ -101,7 +99,7 @@ def cmd_pencil_hurwitz(args):
     P = pencil_from_json(_read_json(args.file))
     Q = hurwitz_apply(braid_from_str(P.r, args.braid), P)
     report = pencil_to_json(Q)
-    report["total_monodromy_preserved"] = Q.total_monodromy() == P.total_monodromy()
+    report["total_monodromy_preserved"] = P.total_monodromy() == Q.total_monodromy()
     return report, report["total_monodromy_preserved"]
 
 
@@ -176,24 +174,10 @@ def cmd_verify_deform(args):
     model = MorseModel.quadratic(args.n, value=0.5)
     h = DeformedMorse(model, profile)
     report = verify_deform_bounds(h, deform_grid(model, profile))
-    fd = _deform_fd_check(h, profile)
+    fd = deform_fd_check(h)
     hard = report["etaObserved"] > 0.0 and fd["max_rel_err"] < 1e-5
     report.update(k=args.k, D=args.D, c0=args.c0, n=args.n, fd_check=fd, ok=hard)
     return report, hard
-
-
-def _deform_fd_check(h, profile):
-    """Gradient evaluator vs central differences at random interior points."""
-    rng = np.random.default_rng(FD_SEED)
-    worst = 0.0
-    for _ in range(FD_SAMPLES):
-        t = rng.uniform(profile.t_pow_lo * 1.05, profile.t_pow_hi * 0.95)
-        d = rng.normal(size=h.model.n)
-        x = t * d / np.linalg.norm(d)
-        g = h.jets(x)[1]
-        num = central_difference(lambda y: h.jets(y)[0], x, 1e-6 * max(t, 1.0))
-        worst = max(worst, float(np.max(np.abs(g - num)) / max(np.linalg.norm(g), 1e-12)))
-    return {"samples": FD_SAMPLES, "max_rel_err": worst}
 
 
 def cmd_verify_localtrans(args):

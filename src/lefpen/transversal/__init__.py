@@ -9,6 +9,7 @@ from .morse import (
     DeformedMorse,
     MorseModel,
     QuadraticBackground,
+    deform_fd_check,
     deform_grid,
     verify_deform_bounds,
 )

@@ -227,6 +227,33 @@ def _jet_blocks(h, grid):
     return (h.jets(grid[i : i + rows]) for i in range(0, len(grid), rows))
 
 
+FD_SAMPLES, FD_SEED = 24, 7  # deform_fd_check's sample count and seed
+
+
+def deform_fd_check(h):
+    """The largest relative gap between the closed-form gradient and central
+    differences of step 1e-6 max(t, 1), at FD_SAMPLES seeded points of the
+    power annulus, |x| = t in [1.05 t_pow_lo, 0.95 t_pow_hi].  Every sample
+    x and its 2n neighbours x +- step e_j go into one stack that _jet_blocks
+    evaluates, and each difference is formed as central_difference forms
+    it, so the report is the per-point loop's bit for bit."""
+    rng = np.random.default_rng(FD_SEED)
+    n, xs, steps = h.model.n, [], []
+    for _ in range(FD_SAMPLES):
+        t = rng.uniform(h.profile.t_pow_lo * 1.05, h.profile.t_pow_hi * 0.95)
+        d = rng.normal(size=n)
+        xs.append(t * d / np.linalg.norm(d))
+        steps.append(1e-6 * max(t, 1.0))
+    x, steps = np.array(xs)[:, None], np.array(steps)
+    e = steps[:, None, None] * np.eye(n)  # (sample, j, coordinate)
+    stack = np.concatenate([x, x + e, x - e], axis=1).reshape(-1, n)  # per sample: x, x + e_j, x - e_j
+    blocks = [(v, g) for v, g, _, _ in _jet_blocks(h, stack)]  # each block's n^3, n^4 jets dropped at once
+    v, g = (np.concatenate(b).reshape(FD_SAMPLES, 2 * n + 1, -1) for b in zip(*blocks))
+    num = (v[:, 1 : n + 1, 0] - v[:, n + 1 :, 0]) / (2.0 * steps[:, None])
+    err = np.max(np.abs(g[:, 0] - num), axis=1) / np.maximum(_row_norms(g[:, 0]), 1e-12)
+    return {"samples": FD_SAMPLES, "max_rel_err": max([0.0, *err.tolist()])}  # a running max: NaN never wins
+
+
 def verify_deform_bounds(h, grid):
     """Empirical bounds over a grid: max gradient, transversality constant,
     max third derivative (Frobenius norm), all in the rescaled metric, and

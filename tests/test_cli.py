@@ -304,8 +304,8 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, comman
         argv.append(str(auto_path))
     assert main(argv) == 2
     line = assert_one_error_line(capsys)
-    if pencil == UNTWISTABLE:  # the error says what a pencil file can hold
-        assert "cannot be twisted: a disc cycle read from a file must be a round range word such as 'x2 x3'" in line
+    if pencil == UNTWISTABLE:  # the error names the file's cycle and says what a pencil file can hold
+        assert "disc cycle 'x1 x3' cannot be twisted: a disc cycle read from a file must be a round range word such as 'x2 x3'" in line
 
 
 NESTED = "[" * 100000 + "]" * 100000  # past the decoder's recursion limit; json.dumps cannot build it

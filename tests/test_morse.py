@@ -5,13 +5,17 @@ from lefpen.transversal.cutoff import build_cutoff
 from lefpen.transversal.localtrans import eta_margin
 from lefpen.transversal.morse import (
     BLOCK_ENTRIES,
+    FD_SAMPLES,
+    FD_SEED,
     CriticalPoint,
     DeformedMorse,
     MorseModel,
     QuadraticBackground,
+    deform_fd_check,
     deform_grid,
     verify_deform_bounds,
 )
+from lefpen.transversal.radial import central_difference
 
 
 @pytest.fixture(scope="module")
@@ -164,6 +168,57 @@ def test_grid_reports_match_per_point_reference():
         outer = np.outer(g, g)
         d2 = max(d2, np.linalg.norm(-c * outer - s * hess), np.linalg.norm(-s * outer + c * hess))
     assert rep["circle_pair"] == {"max_first_derivative": d1, "max_second_derivative": d2}
+
+
+def deform_fd_check_reference(h):
+    """The per-point loop that deform_fd_check's one blocked stack replaced."""
+    rng = np.random.default_rng(FD_SEED)
+    worst = 0.0
+    for _ in range(FD_SAMPLES):
+        t = rng.uniform(h.profile.t_pow_lo * 1.05, h.profile.t_pow_hi * 0.95)
+        d = rng.normal(size=h.model.n)
+        x = t * d / np.linalg.norm(d)
+        g = h.jets(x)[1]
+        num = central_difference(lambda y: h.jets(y)[0], x, 1e-6 * max(t, 1.0))
+        worst = max(worst, float(np.max(np.abs(g - num)) / max(np.linalg.norm(g), 1e-12)))
+    return {"samples": FD_SAMPLES, "max_rel_err": worst}
+
+
+@pytest.mark.parametrize("k, D", [(1e3, 1.0), (12500.7, 0.5), (1e5, 2.0)])
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_fd_check_matches_per_point_reference(n, k, D):
+    h = DeformedMorse(MorseModel.quadratic(n, value=0.5), build_cutoff(k, D, 1.0))
+    assert deform_fd_check(h) == deform_fd_check_reference(h)
+
+
+def test_fd_check_evaluates_jets_in_bounded_blocks(monkeypatch):
+    rows = []
+    jets = DeformedMorse.jets
+
+    def spy(self, x):
+        rows.append(len(x))
+        return jets(self, x)
+
+    monkeypatch.setattr(DeformedMorse, "jets", spy)
+    deform_fd_check(DeformedMorse(MorseModel.quadratic(2, value=0.5), build_cutoff(1e3, 1.0, 1.0)))
+    assert rows == [FD_SAMPLES * 5]  # one call: x and x +- step e_j for each sample
+    rows.clear()
+    deform_fd_check(DeformedMorse(MorseModel.quadratic(8, value=0.5), build_cutoff(1e3, 1.0, 1.0)))
+    assert sum(rows) == FD_SAMPLES * 17 and max(rows) <= BLOCK_ENTRIES // 8**4
+
+
+class SkewedGradient(DeformedMorse):
+    """Jets whose gradient is off by a relative 1e-4."""
+
+    def jets(self, x):
+        v, g, hess, t3 = super().jets(x)
+        return v, g * (1.0 + 1e-4), hess, t3
+
+
+def test_fd_check_catches_a_skewed_gradient():
+    model, profile = MorseModel.quadratic(2, value=0.5), build_cutoff(1e4, 1.0, 1.0)
+    assert deform_fd_check(DeformedMorse(model, profile))["max_rel_err"] < 1e-8
+    assert deform_fd_check(SkewedGradient(model, profile))["max_rel_err"] >= 1e-5
 
 
 def test_verify_deform_bounds(deformed):
