@@ -12,6 +12,8 @@ turns those into exit 2 with one ``error:`` line on stderr, and alone
 writes the report: JSON on stdout (sorted keys, so identical inputs give
 byte-identical output), or to the file --out names.  Exit codes: 0
 success / verified, 1 a check ran and failed, 2 usage or input error.
+The verify handlers import numpy and the numerical layer where they run,
+so the pencil subcommands start without numpy.
 """
 
 from __future__ import annotations
@@ -19,8 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from .words import braid_from_str, braid_to_str, word_to_str
 from .fiber import cycle_to_json
@@ -34,25 +34,6 @@ from .pencil import (
     pencil_from_json,
     pencil_to_json,
 )
-from .transversal import (
-    DeformedMorse,
-    MorseModel,
-    VerificationError,
-    ball_grid,
-    build_cutoff,
-    deform_fd_check,
-    deform_grid,
-    find_good_w0,
-    min_admissible_k,
-    power_profile,
-    radial_map_check,
-    random_instance,
-    reverify,
-    sigma_of,
-    solve_w_residual,
-    verify_deform_bounds,
-)
-from .transversal.localtrans import BLOCK_ENTRIES, SUP_RESOLUTION
 
 OK, CHECK_FAILED, USAGE = 0, 1, 2
 
@@ -135,6 +116,9 @@ def cmd_pencil_gamma_check(args):
 
 
 def cmd_verify_cutoff(args):
+    import numpy as np
+    from .transversal import build_cutoff, min_admissible_k
+
     profile = build_cutoff(args.k, args.D, args.c0)
     slope = profile.slope_check()
     # one ulp inside each band: at t_flat and t_one themselves jets returns the constants
@@ -166,6 +150,9 @@ def cmd_verify_cutoff(args):
 
 
 def cmd_verify_deform(args):
+    from .transversal import DeformedMorse, MorseModel, build_cutoff, deform_fd_check, deform_grid, verify_deform_bounds
+    from .transversal.localtrans import BLOCK_ENTRIES
+
     profile = build_cutoff(args.k, args.D, args.c0)
     if args.n < 1:
         raise ValueError("--n must be a positive dimension")
@@ -181,6 +168,12 @@ def cmd_verify_deform(args):
 
 
 def cmd_verify_localtrans(args):
+    import numpy as np
+    from .transversal.localtrans import (
+        SUP_RESOLUTION, VerificationError, ball_grid, find_good_w0, random_instance, reverify, sigma_of,
+        solve_w_residual,
+    )
+
     if args.trials < 1:
         raise ValueError("--trials must be positive")
     if args.seed < 0:
@@ -240,6 +233,9 @@ def cmd_verify_localtrans(args):
 
 
 def cmd_verify_radial(args):
+    import numpy as np
+    from .transversal import power_profile, radial_map_check
+
     if args.samples < 1:
         raise ValueError("--samples must be positive")
     if args.seed < 0:

@@ -461,14 +461,69 @@ def test_reports_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_console_entry_point():
-    # the subprocess imports the lefpen under test, installed or not
+def run_fresh(*argv):
+    """Python on argv in a new process that imports the lefpen under test, installed or not."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(lefpen.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "lefpen.cli", "verify", "radial", "--samples", "5"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))),
     )
+
+
+def test_console_entry_point():
+    proc = run_fresh("-m", "lefpen.cli", "verify", "radial", "--samples", "5")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"]
+
+
+# every pencil subcommand on the data pencils, then one verify subcommand, in one new
+# process; prints the exit codes and whether numpy was loaded before the verify call
+PENCILS_THEN_VERIFY = """
+import contextlib, io, json, os, sys
+import lefpen
+import lefpen.cli
+data = sys.argv[1]
+pencils = [os.path.join(data, f) for f in ("pencil_torus_abab.json", "pencil_disc3_round.json", "pencil_sp_g2_r4.json")]
+runs = [["pencil", "gamma-check", pencils[0], "--auto", os.path.join(data, "auto_torus_abab_s1.json")]]
+for p in pencils:
+    runs += [
+        ["pencil", "validate", p, "--closed"],
+        ["pencil", "matching", p, "--max-len", "2"],
+        ["pencil", "hurwitz", p, "--braid", "s1 S2 s3 s1 s2"],
+    ]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [lefpen.cli.main(argv) for argv in runs]
+    numpy_loaded = "numpy" in sys.modules
+    radial = lefpen.cli.main(["verify", "radial", "--samples", "5"])
+print(json.dumps({"codes": codes, "numpy_loaded": numpy_loaded, "radial": radial}))
+"""
+
+
+def test_pencil_subcommands_run_without_numpy():
+    proc = run_fresh("-c", PENCILS_THEN_VERIFY, DATA)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [1] + [1, 0, 0] * 3  # no data pencil is closed; s1 is not in Gamma
+    assert not result["numpy_loaded"]
+    assert result["radial"] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "deform", "--k", "1e3", "--D", "1", "--n", "0"],
+        ["verify", "localtrans", "--seed", "1", "--trials", "0"],
+        ["verify", "cutoff", "--k", "nan", "--D", "1"],
+        ["verify", "radial", "--samples", "0"],
+    ],
+    ids=["deform-n0", "zero-trials", "cutoff-k-nan", "zero-samples"],
+)
+def test_first_verify_call_of_a_process_exits_2_with_one_error_line(argv):
+    # the numerical layer is imported inside the handler, within main's input boundary
+    proc = run_fresh("-m", "lefpen.cli", *argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
