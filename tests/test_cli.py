@@ -478,9 +478,10 @@ def test_console_entry_point():
     assert json.loads(proc.stdout)["ok"]
 
 
-# every pencil subcommand on the data pencils, then one verify subcommand, in one new
-# process; prints the exit codes and whether numpy was loaded before the verify call
-PENCILS_THEN_VERIFY = """
+def test_pencil_subcommands_run_without_numpy():
+    # every pencil subcommand on the data pencils, then one verify subcommand, in one new
+    # process; prints the exit codes and whether numpy was loaded before the verify call
+    script = """
 import contextlib, io, json, os, sys
 import lefpen
 import lefpen.cli
@@ -499,10 +500,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     radial = lefpen.cli.main(["verify", "radial", "--samples", "5"])
 print(json.dumps({"codes": codes, "numpy_loaded": numpy_loaded, "radial": radial}))
 """
-
-
-def test_pencil_subcommands_run_without_numpy():
-    proc = run_fresh("-c", PENCILS_THEN_VERIFY, DATA)
+    proc = run_fresh("-c", script, DATA)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [1] + [1, 0, 0] * 3  # no data pencil is closed; s1 is not in Gamma
