@@ -30,7 +30,6 @@ from .fiber import (
     UnsupportedCycle,
     act,
     base_half_twist,
-    cycle_eq,
     dehn_twist,
     full_twist,
     intersection_number,

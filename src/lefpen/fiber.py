@@ -322,8 +322,7 @@ def dehn_twist(c):
         return _new(FiberElement, model=model, matrix=mat)
     if c.support is None:
         raise UnsupportedCycle(
-            "disc cycle %r cannot be twisted: a disc cycle read from a file must be a round range "
-            "word such as 'x2 x3'; library code can also twist act(g, standard_curve(model, i, j))"
+            "disc cycle %r cannot be twisted: it is not presented as act(g, standard_curve(model, i, j))"
             % (word_to_str(c.word),)
         )
     carrier, (i, j) = c.support
@@ -352,12 +351,6 @@ def act(g, c):
         support = (g.braid * carrier, rng)
     word, support = _disc_fields(model.punctures, artin_apply(g.braid, c.word).letters, support)
     return _new(Cycle, model=model, word=word, support=support)
-
-
-def cycle_eq(c1, c2):
-    """Equality of unoriented cycle classes (necessary condition for isotopy)."""
-    _require_same_model(c1, c2)
-    return c1 == c2
 
 
 def intersection_number(c1, c2):

@@ -1,14 +1,16 @@
 """Positive factorizations, enhanced monodromy, and pencil automorphisms.
 
 A pencil is an ordered tuple of vanishing cycles (c_1, .., c_r) in a fiber
-model.  It induces the enhanced monodromy: the homomorphism zeta sending
-x_i to the Dehn twist about c_i (words evaluated left to right), together
-with the labelling L(w x_i w^(-1)) = zeta(w)(c_i) of all conjugates of
-generators by cycle classes.  A label twists c_i along w's letters one
-letter at a time, from the right (Picard-Lefschetz).  On homology fibers
-each step is the transvection v -> v +- <v, c> c, so no twist matrix is
-built; matrices, cached on the pencil outside equality, serve only
-monodromy_of, the total monodromy and reports of failed stabilizer checks.
+model, each with a Dehn twist: Pencil rejects a disc cycle with no curve
+presentation, and labels and Hurwitz moves keep it, as act carries it.  A
+pencil induces the enhanced monodromy: the homomorphism zeta sending x_i to
+the Dehn twist about c_i (words evaluated left to right), together with the
+labelling L(w x_i w^(-1)) = zeta(w)(c_i) of all conjugates of generators by
+cycle classes.  A label twists c_i along w's letters one letter at a time,
+from the right (Picard-Lefschetz).  On homology fibers each step is the
+transvection v -> v +- <v, c> c, so no twist matrix is built; matrices,
+cached on the pencil outside equality, serve only monodromy_of, the total
+monodromy and reports of failed stabilizer checks.
 
 The automorphism group Gamma of the pencil consists of the pairs
 (braid b, fiber element g) with zeta(b.x_i) = g zeta(x_i) g^(-1) and
@@ -21,7 +23,9 @@ Hurwitz moves are the braid action on factorizations characterized by
 "the moved pencil, precomposed with b, has the original monodromy data":
 the new i-th cycle is the label of b^(-1).x_i.  On generators this gives
 the familiar rule s_i: (c_i, c_{i+1}) -> (c_{i+1}, twist(c_{i+1})^(-1) c_i)
-and the total monodromy zeta(x_1 .. x_r) never changes.
+and the total monodromy zeta(x_1 .. x_r) never changes.  So Gamma is the
+stabilizer of the Hurwitz action: (b, g) lies in Gamma exactly when the
+move by b^(-1) sends the pencil to (g(c_1), .., g(c_r)).
 
 Arcs between critical values are classified through their supporting pair
 of words (eta', eta'') and the cycles S' = L(eta'), S'' = L(eta''):
@@ -53,7 +57,6 @@ from .words import (
     _pair_letters,
     _step,
     braid_from_str,
-    braid_to_str,
     half_twist,
     supporting_pair,
     word_to_str,
@@ -65,11 +68,11 @@ from .fiber import (
     Cycle,
     FiberElement,
     ModelMismatch,
+    UnsupportedCycle,
     _as_range,
     _normalize_sign,
     act,
     base_half_twist,
-    cycle_eq,
     cycle_from_json,
     cycle_to_json,
     dehn_twist,
@@ -116,6 +119,9 @@ class Pencil:
         for c in cycles:
             if c.model != fiber:
                 raise ModelMismatch("cycle %r does not live in the fiber model" % (c,))
+            if fiber.kind == DISC and c.support is None:
+                message = "disc cycle %r cannot be twisted, and a pencil's monodromy is the twists about its cycles"
+                raise UnsupportedCycle(message % (word_to_str(c.word),))
         self.fiber = fiber
         self.cycles = cycles
         self._twists = {}  # letter -> its twist; not part of equality
@@ -240,26 +246,27 @@ def in_gamma(A, P):
 def in_gamma_detail(A, P):
     """Like in_gamma, but reports the first violated generator with both sides.
 
-    Decided by labels; both monodromy sides are built only where the labels
-    differ, and reported if they differ too.  The twists of u's letters and
-    of x_i come first, so an untwistable disc cycle raises UnsupportedCycle.
+    (b, g) lies in Gamma exactly when the Hurwitz move by b^(-1) sends the
+    pencil to (g(c_1), .., g(c_r)): the label of b.x_i, read by _label from
+    b's raw images as _relabel reads them, is g(c_i) for every i.  Both
+    monodromy sides are built only at the first generator whose labels
+    differ, and reported if they differ too.
     """
     if A.b.strands != P.r:
         raise RankMismatch("automorphism braid strand count does not match pencil size")
     if A.g.model != P.fiber:
         raise ModelMismatch("automorphism fiber element lives in the wrong model")
-    for i, u in enumerate(A.b.action(), 1):
-        for l in u.letters + (i,):
-            P.twist(l)
-        lhs, rhs = vanishing_label(P, u), act(A.g, P.cycles[i - 1])
-        if cycle_eq(lhs, rhs):
+    for i, u in enumerate(A.b._images(), 1):
+        lhs, rhs = _label(P, u, _core_at(u)), act(A.g, P.cycles[i - 1])
+        if lhs == rhs:
             continue
-        lhs_elem, rhs_elem = monodromy_of(P, u), A.g * P.twist(i) * A.g.inverse()
+        word = _new(FreeWord, rank=P.r, letters=u)
+        lhs_elem, rhs_elem = monodromy_of(P, word), A.g * P.twist(i) * A.g.inverse()
         monodromy = lhs_elem != rhs_elem
         return False, {
             "generator": i,
             "check": "monodromy" if monodromy else "label",
-            "moved_word": word_to_str(u),
+            "moved_word": word_to_str(word),
             "lhs": element_to_json(lhs_elem) if monodromy else cycle_to_json(lhs),
             "rhs": element_to_json(rhs_elem) if monodromy else cycle_to_json(rhs),
         }
@@ -290,7 +297,7 @@ def classify_labels(s1, s2, trust_algebraic=False):
     to a geometric count (the disc model's unsupported pairs stay Other,
     their bound carries no information).
     """
-    if cycle_eq(s1, s2):
+    if s1 == s2:
         return ArcClass(MATCHING)
     value, exactness = intersection_number(s1, s2)
     if exactness != EXACT and not (trust_algebraic and s1.model.kind == SP):
@@ -346,11 +353,11 @@ def base_twist_automorphism(a, d, P):
     if crossings % 2 != 1:
         raise HypothesisError("i", "S' crosses delta %d times, need exactly one" % (crossings,))
 
-    if not cycle_eq(s2, act(tau, s1)):
+    if s2 != act(tau, s1):
         raise HypothesisError("ii", "S'' is not the base half-twist image of S'")
 
     returned = act(dehn_twist(s2) * tau * tau, s1)
-    if not cycle_eq(returned, s1):
+    if returned != s1:
         raise HypothesisError("lantern", "twist_{S''} tau_delta^2 does not return S' to itself")
 
     A = Automorphism(half_twist(a), tau)
@@ -441,12 +448,8 @@ def enumerate_arcs(P, max_carrier_len):
     return out
 
 
-def enumerate_matching_arcs(P, max_carrier_len, trust_algebraic=False):
-    return [
-        a
-        for a in enumerate_arcs(P, max_carrier_len)
-        if classify_arc(a, P, trust_algebraic=trust_algebraic).kind == MATCHING
-    ]
+def enumerate_matching_arcs(P, max_carrier_len):
+    return [a for a in enumerate_arcs(P, max_carrier_len) if classify_arc(a, P).kind == MATCHING]
 
 
 def _closure(start, neighbours, depth, key):
@@ -514,11 +517,11 @@ def pencil_from_json(doc):
         raise ValueError("pencil 'cycles' must be an array")
     model = model_from_json(doc["fiber"])
     cycles = [cycle_from_json(model, c) for c in doc["cycles"]]
-    return Pencil(model, cycles)
-
-
-def automorphism_to_json(A):
-    return {"braid": braid_to_str(A.b), "fiber_element": element_to_json(A.g)}
+    try:
+        return Pencil(model, cycles)
+    except UnsupportedCycle as e:  # a file presents a disc cycle only by its word
+        advice = "a disc cycle read from a file must be a round range word such as 'x2 x3'"
+        raise UnsupportedCycle("%s; %s" % (e, advice)) from None
 
 
 def automorphism_from_json(model, r, doc):

@@ -198,7 +198,9 @@ class Braid:
         return self._action
 
     def action(self):
-        """Images (phi(x_1), .., phi(x_r)) of the generators, as words."""
+        """Images (phi(x_1), .., phi(x_r)) of the generators, as words.  Only tests call it,
+        tests/test_exact_laws.py::test_one_step_composes_the_action and
+        tests/test_pencil.py::test_enumerate_arcs_reads_actions_off_the_carrier_tree among them."""
         return tuple(_new(FreeWord, rank=self.strands, letters=u) for u in self._images())
 
     def __eq__(self, other):

@@ -266,7 +266,7 @@ PENCIL_COMMANDS = {
     "matching": ["--max-len", "1"],
     "gamma-check": ["--auto"],  # the automorphism file's path follows
 }
-# loads, but "x1 x3" is no round range curve, so nothing can twist about it
+# "x1 x3" is no round range curve, so nothing can twist about it and the loader rejects it
 UNTWISTABLE = {"fiber": {"model": "disc", "punctures": 3}, "cycles": ["x1 x3", "x2 x3"]}
 MALFORMED = [
     pytest.param(command, doc, GOOD_AUTO, PENCIL_COMMANDS[command], id="%s-%s" % (command, name))
@@ -285,10 +285,11 @@ MALFORMED = [
         id="matching-untwistable-disc-cycle",
     ),
 ] + [
-    # every command that twists about such a cycle, even by the identity, exits 2
+    # every command exits 2, even one that would twist by the identity or not at all
     pytest.param("gamma-check", UNTWISTABLE, {"braid": b, "fiber_element": ""}, ["--auto"], id="gamma-check-untwistable-" + name)
     for name, b in (("identity", ""), ("s1", "s1"))
 ] + [
+    pytest.param("validate", UNTWISTABLE, GOOD_AUTO, [], id="validate-untwistable"),
     pytest.param("validate", UNTWISTABLE, GOOD_AUTO, ["--closed"], id="validate-closed-untwistable"),
     pytest.param("hurwitz", UNTWISTABLE, GOOD_AUTO, ["--braid", "s1"], id="hurwitz-untwistable"),
 ]
@@ -304,8 +305,11 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, comman
         argv.append(str(auto_path))
     assert main(argv) == 2
     line = assert_one_error_line(capsys)
-    if pencil == UNTWISTABLE:  # the error names the file's cycle and says what a pencil file can hold
-        assert "disc cycle 'x1 x3' cannot be twisted: a disc cycle read from a file must be a round range word such as 'x2 x3'" in line
+    if pencil == UNTWISTABLE:  # the loader names the file's cycle and says what a pencil file can hold
+        assert line == (
+            "error: disc cycle 'x1 x3' cannot be twisted, and a pencil's monodromy is the twists about its cycles;"
+            " a disc cycle read from a file must be a round range word such as 'x2 x3'"
+        )
 
 
 NESTED = "[" * 100000 + "]" * 100000  # past the decoder's recursion limit; json.dumps cannot build it

@@ -11,9 +11,9 @@ from lefpen.fiber import (
     Cycle,
     FiberElement,
     FiberModel,
+    UnsupportedCycle,
     act,
     base_half_twist,
-    cycle_eq,
     dehn_twist,
     standard_curve,
 )
@@ -31,7 +31,6 @@ from lefpen.pencil import (
     arc_key,
     automorphism_from_arc,
     automorphism_from_json,
-    automorphism_to_json,
     base_twist_automorphism,
     classify_arc,
     dual_singularity_braid,
@@ -122,7 +121,7 @@ def test_label_equivariance():
             gamma = FreeWord(r, (i,))
             lhs = vanishing_label(P, w * gamma * w.inverse())
             rhs = act(monodromy_of(P, w), vanishing_label(P, gamma))
-            assert cycle_eq(lhs, rhs)
+            assert lhs == rhs
             assert lhs == act(monodromy_of(P, w), P.cycles[i - 1])
 
 
@@ -315,7 +314,7 @@ def test_base_twist_standard_configuration():
     s1 = standard_curve(m, 1, 1)
     s2 = standard_curve(m, 2, 2)
     tau = base_half_twist(d, m)
-    assert cycle_eq(act(dehn_twist(s2) * tau * tau, s1), s1)
+    assert act(dehn_twist(s2) * tau * tau, s1) == s1
 
 
 def test_base_twist_hypothesis_guards():
@@ -587,6 +586,15 @@ def test_hurwitz_orbit_disc_model():
             assert c.support is not None  # moved cycles stay twistable
 
 
+def test_pencil_rejects_an_untwistable_disc_cycle():
+    # a pencil's monodromy is the twists about its cycles, so every disc cycle needs a presentation
+    m = FiberModel("disc", punctures=3)
+    with pytest.raises(UnsupportedCycle, match="^disc cycle 'x1 x3' cannot be twisted, and a pencil's monodromy"):
+        Pencil(m, [Cycle(m, word=(1, 3))])
+    pushed = act(FiberElement(m, braid=Braid(3, (1,))), standard_curve(m, 2, 3))
+    assert Pencil(m, [pushed]).cycles == (pushed,)
+
+
 def test_hurwitz_orbit():
     assert hurwitz_orbit(P_AB, 0) == {P_AB}
     orb1 = hurwitz_orbit(P_AB, 1)
@@ -608,8 +616,7 @@ def test_pencil_json_roundtrip():
     Pd = Pencil(m, (standard_curve(m, 1, 2), standard_curve(m, 2, 3)))
     assert pencil_from_json(pencil_to_json(Pd)) == Pd
     aut = Automorphism(Braid(4, (-2, 1, 2)), FiberElement.identity(T))
-    doc2 = automorphism_to_json(aut)
-    back = automorphism_from_json(T, 4, doc2)
+    back = automorphism_from_json(T, 4, {"braid": "S2 s1 s2", "fiber_element": [1, 0, 0, 1]})
     assert back.b == aut.b and back.g == aut.g
 
 

@@ -1,15 +1,18 @@
 """The public surface carries no dead names.
 
 Every name that ``lefpen/__init__.py`` or ``lefpen/transversal/__init__.py``
-exports is either referenced by the program (the source outside the
-``__init__`` files, read as an AST, or by text the benchmark scripts and the
-README's library example), or its docstring names, as
-``tests/<file>.py::<test>``, the tests that are its only callers.  Each
-test a docstring names calls what names it, for the exports and the public
-methods of the exported classes alike.
+exports, and every public function defined at module level anywhere in
+``src/lefpen``, exported or not, is either referenced by the program (the
+source outside the ``__init__`` files, read as an AST, or by text the
+benchmark scripts and the README's library example), or its docstring
+names, as ``tests/<file>.py::<test>``, the tests that are its only
+callers.  Each test a docstring names calls what names it, for those
+functions, the exports and the public methods of the exported classes
+alike.
 """
 
 import ast
+import importlib
 import inspect
 import re
 from pathlib import Path
@@ -47,6 +50,16 @@ def library_text():
     return example + "".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
 
 
+def module_functions():
+    """Every public function defined at module level in src/lefpen, as (module, name)."""
+    src = ROOT / "src"
+    for path in sorted((src / "lefpen").rglob("*.py")):
+        module = importlib.import_module(".".join(path.relative_to(src).with_suffix("").parts).removesuffix(".__init__"))
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                yield module, node.name
+
+
 def named_tests(obj):
     """The (file, test) pairs that obj's docstring names; each must exist."""
     named = NAMED_TEST.findall(inspect.getdoc(obj) or "")
@@ -56,20 +69,30 @@ def named_tests(obj):
     return named
 
 
-def test_every_export_is_used_or_names_its_test():
+def unreached(owned):
+    """'module.name' of each (module, name) in owned that neither the program nor the
+    library text references and whose docstring names no test."""
     referenced, text = source_references(), library_text()
-    unreached = []
-    for package in (lefpen, lefpen.transversal):
-        for name in exports(package):
-            if name in referenced or re.search(r"\b%s\b" % name, text):
-                continue
-            if not named_tests(getattr(package, name)):
-                unreached.append("%s.%s" % (package.__name__, name))
-    assert unreached == []
+    return [
+        "%s.%s" % (module.__name__, name)
+        for module, name in owned
+        if name not in referenced
+        and not re.search(r"\b%s\b" % name, text)
+        and not named_tests(getattr(module, name))
+    ]
+
+
+def test_every_export_is_used_or_names_its_test():
+    assert unreached((p, n) for p in (lefpen, lefpen.transversal) for n in exports(p)) == []
+
+
+def test_every_module_function_is_used_or_names_its_test():
+    assert unreached(module_functions()) == []
 
 
 def test_docstring_named_tests_call_what_names_them():
     objects = [getattr(p, n) for p in (lefpen, lefpen.transversal) for n in exports(p)]
+    objects += [getattr(module, name) for module, name in module_functions()]
     objects += [
         getattr(cls, name)
         for cls in objects
