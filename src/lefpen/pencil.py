@@ -2,15 +2,15 @@
 
 A pencil is an ordered tuple of vanishing cycles (c_1, .., c_r) in a fiber
 model, each with a Dehn twist: Pencil rejects a disc cycle with no curve
-presentation, and labels and Hurwitz moves keep it, as act carries it.  A
-pencil induces the enhanced monodromy: the homomorphism zeta sending x_i to
-the Dehn twist about c_i (words evaluated left to right), together with the
-labelling L(w x_i w^(-1)) = zeta(w)(c_i) of all conjugates of generators by
-cycle classes.  A label twists c_i along w's letters one letter at a time,
-from the right (Picard-Lefschetz).  On homology fibers each step is the
-transvection v -> v +- <v, c> c, so no twist matrix is built; matrices,
-cached on the pencil outside equality, serve only monodromy_of, the total
-monodromy and reports of failed stabilizer checks.
+presentation, and act carries the presentation through labels and Hurwitz
+moves.  A pencil induces the enhanced monodromy: the homomorphism zeta
+sending x_i to the Dehn twist about c_i (words evaluated left to right),
+together with the labelling L(w x_i w^(-1)) = zeta(w)(c_i) of all conjugates
+of generators by cycle classes.  A label twists c_i along w's letters one
+letter at a time, from the right (Picard-Lefschetz).  On homology fibers
+each step is the transvection v -> v +- <v, c> c, so no twist matrix is
+built; matrices, cached on the pencil outside equality, serve only
+monodromy_of, the total monodromy and reports of failed stabilizer checks.
 
 The automorphism group Gamma of the pencil consists of the pairs
 (braid b, fiber element g) with zeta(b.x_i) = g zeta(x_i) g^(-1) and
