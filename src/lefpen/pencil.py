@@ -473,7 +473,7 @@ def _closure(start, neighbours, depth, key):
     return seen
 
 
-def kernel_orbit(a, P, gens, depth, trust_algebraic=False):
+def kernel_orbit(a, P, gens, depth):
     """Closure of an arc under pushforward by stabilizer braids.
 
     Every generator must pass the membership test; the pushforward of
@@ -486,9 +486,9 @@ def kernel_orbit(a, P, gens, depth, trust_algebraic=False):
     moves = [m for A in gens for m in (A.b, A.b.inverse())]
     pushed = lambda cur: (Arc(cur.base, b * cur.carrier) for b in moves)
     reached = list(_closure(a, pushed, depth, arc_key).values())
-    base_class = classify_arc(a, P, trust_algebraic=trust_algebraic)
+    base_class = classify_arc(a, P)
     for x in reached[1:]:
-        got = classify_arc(x, P, trust_algebraic=trust_algebraic)
+        got = classify_arc(x, P)
         if got != base_class:
             raise AssertionError("orbit element classifies as %s, expected %s" % (got, base_class))
     return set(reached)

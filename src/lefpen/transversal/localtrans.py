@@ -17,13 +17,13 @@ Everything here is desk scale: square grids, a numpy labelling of the
 clear region's components in the w-disc, and an independent
 re-verification of every certificate on a finer grid.
 
-The z-grids are walked in blocks of BLOCK_ENTRIES // 4 points (_walk):
-each block takes each power z**e once for p, q, p' and q' together and
-is folded into the graph's near-critical images (_near_critical) or the
+Every polynomial value comes from CPoly's Horner rule, whose products are
+all array x array, so a value's bits depend on its point alone.  The
+z-grids are walked in blocks of BLOCK_ENTRIES // 4 points (_walk), each
+folded into the graph's near-critical images (_near_critical) or the
 verify margin (_verify) before the next, so no full-grid array of the
-four polynomials' values exists.  The values keep the bits of evaluating
-each polynomial over the whole grid at once, whose complex products take
-their operand order from the grid's size (see _walk).
+values of p, q, p' and q' exists, and the blocks give the bits of one
+evaluation over the whole grid.
 
 The w-disc never forms its all-pairs distance to the near-critical
 image.  _bounds bounds each point's nearest distance by d - h and d + h,
@@ -46,9 +46,7 @@ MAX_DEGREE = 4  # of the random instances' p and q
 C = 4.0  # w0 keeps clear of the C sigma-neighborhood of the near-critical image
 REVERIFY_FACTOR = 2  # reverify's grid is about this many times finer
 # array entries per block: point-target differences and the values of p, q,
-# p' and q' at a block of z-grid points here, n^4 jets in morse.  The z-grid
-# blocks keep the operand order that numpy's 256 KiB temporary elision gives
-# an evaluation over the whole grid, so the order follows the grid's size (_walk)
+# p' and q' at a block of z-grid points here, n^4 jets in morse
 BLOCK_ENTRIES = 1 << 16
 CELLS = 16  # cells per side of the bucket grid over the w-disc points
 SLACK = 1e-9  # relative widening of every cell bound, far above float rounding
@@ -59,17 +57,21 @@ class VerificationError(RuntimeError):
 
 
 class CPoly:
-    """The polynomial c0 + c1 z + c2 z^2 + ... in one complex variable."""
+    """The polynomial c0 + c1 z + c2 z^2 + ... in one complex variable,
+    evaluated by Horner's rule: out = 0, then out = out * z + c for each c
+    from the top coefficient down.  Each product out * z is array x array
+    into a buffer of its own, never over an operand: numpy rounds a
+    complex product written over a one-point operand differently."""
 
     def __init__(self, coeffs):
         self.coeffs = tuple(0j + complex(c) for c in coeffs)
 
     def __call__(self, z):
         z = np.asarray(z, dtype=complex)
-        out = np.empty(z.shape, dtype=complex)
-        flat = out.reshape(-1)
-        for block, (values,) in _walk([self], z.reshape(-1)):
-            flat[block] = values
+        out, product = np.zeros_like(z), np.empty_like(z)
+        for c in reversed(self.coeffs):
+            np.multiply(out, z, out=product)
+            np.add(product, c, out=out)
         return out
 
     def deriv(self):
@@ -80,30 +82,12 @@ class CPoly:
 
 
 def _walk(polys, z):
-    """Yield (block, values) per slice of BLOCK_ENTRIES // 4 points of the
-    flat array z, values[i] holding polys[i] at the points z[block].
-
-    Each block takes each power z**e once, for every poly with a z**e term,
-    and sums the terms c * z**e in exponent order: the bits of that sum over
-    the whole array at once.  Complex multiplication is not bitwise
-    commutative, and numpy evaluates c * z**e with a Python complex c as
-    z**e * c, in place, when the temporary z**e takes 256 KiB or more (its
-    temporary elision).  So the operand order follows the size of z, not
-    of the block.
-    """
-    swapped = z.nbytes >= 256 * 1024
+    """Yield (block, [p(z[block]) for p in polys]) per slice of
+    BLOCK_ENTRIES // 4 points of the flat array z."""
     step = BLOCK_ENTRIES // 4
     for lo in range(0, z.size, step):
         block = slice(lo, lo + step)
-        points = z[block]
-        values = [np.zeros_like(points) for _ in polys]
-        for e in range(max(len(p.coeffs) for p in polys)):
-            terms = [(v, p.coeffs[e]) for v, p in zip(values, polys) if e < len(p.coeffs) and p.coeffs[e]]
-            if terms:
-                power = points**e
-                for v, c in terms:
-                    v += power * c if swapped else c * power
-        yield block, values
+        yield block, [p(z[block]) for p in polys]
 
 
 def ball_grid(radius, resolution):

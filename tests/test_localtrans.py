@@ -38,6 +38,34 @@ def test_cpoly_eval_and_deriv():
     assert dp(np.array([2.0 + 0j]))[0] == pytest.approx(14.0)
 
 
+def test_cpoly_edge_cases():
+    z = ball_grid(1.1, 21)
+    before = z.copy()
+    # the deriv() of a constant has no coefficients and evaluates to exact zeros
+    zero = CPoly([3 - 1j]).deriv()
+    assert zero.coeffs == ()
+    assert np.array_equal(zero(z), np.zeros_like(z)) and not np.signbit(zero(z).view(float)).any()
+    # a 0-d argument gives a 0-d value
+    p = CPoly([1, 2, 3])
+    value = p(2.0)
+    assert value.shape == () and value == 17.0
+    assert p(np.array(2.0 + 0j)) == 17.0
+    # Horner's rule writes only its own buffers, never the argument
+    p(z)
+    zero(z)
+    assert np.array_equal(z, before)
+
+
+# a stated bound for comparing CPoly with references that order their
+# floating-point operations differently: each side lies within about
+# n eps sum |c_e| |z|^e of the exact value for n coefficients (one complex
+# product and one sum per Horner step), and the bound is four times that
+def _within_rounding(poly, got, ref, z):
+    n = len(poly.coeffs)
+    scale = sum(abs(c) * np.abs(z) ** e for e, c in enumerate(poly.coeffs))
+    return np.all(np.abs(got - ref) <= 4 * n * np.finfo(float).eps * scale)
+
+
 # the reference for CPoly: the exponent -> coefficient map it replaced, with
 # its constructor, evaluation, derivative and scaling
 def _exponent_map(items):
@@ -57,62 +85,81 @@ def _exponent_map_eval(coeffs, z):
 
 
 def test_cpoly_matches_exponent_map_evaluation():
+    # the coefficient maps agree exactly; the evaluations, summing c * z**e
+    # against Horner's rule, agree within the rounding bound
     rng = np.random.default_rng(4)
     grids = [ball_grid(radius, res) for radius in (1.0, 1.1) for res in (101, 201, 401)]
     polys = [CPoly([0.5, 0.0, -0.0, 2j, 0.0])]  # zero coefficients are skipped, as the map left them out
     for _ in range(6):
         inst = random_instance(rng)
         polys += [inst.p, inst.q]
+    as_map = lambda poly: _exponent_map(((e,), c) for e, c in enumerate(poly.coeffs))
     for poly in polys:
-        ref = _exponent_map(((e,), c) for e, c in enumerate(poly.coeffs))
+        ref = as_map(poly)
         ref_deriv = _exponent_map(((e - 1,), c * e) for (e,), c in ref.items() if e)
         factor = float(rng.uniform(0.1, 3.0))
         ref_scaled = _exponent_map((exps, c * factor) for exps, c in ref.items())
+        assert as_map(poly.deriv()) == ref_deriv
+        assert as_map(poly.scaled(factor)) == ref_scaled
         for z in grids:
-            assert np.array_equal(poly(z), _exponent_map_eval(ref, z))
-            assert np.array_equal(poly.deriv()(z), _exponent_map_eval(ref_deriv, z))
-            assert np.array_equal(poly.scaled(factor)(z), _exponent_map_eval(ref_scaled, z))
+            for got, want in ((poly, ref), (poly.deriv(), ref_deriv), (poly.scaled(factor), ref_scaled)):
+                assert _within_rounding(got, got(z), _exponent_map_eval(want, z), z)
 
 
-# the reference for the blocked walk's bits: CPoly's evaluation before it,
-# each polynomial summed over the whole array at once
-def _whole_array(poly, z):
-    out = np.zeros_like(z)
-    for e, c in enumerate(poly.coeffs):
-        if c:
-            out = out + c * z**e
-    return out
+# the reference for Horner's rule itself: a plain-Python loop over Python
+# complex numbers.  numpy's array x array complex product need not round as
+# Python's does, so the two agree within the rounding bound, not bit for bit
+def _python_horner(coeffs, z):
+    out = []
+    for x in z.tolist():
+        v = 0j
+        for c in reversed(coeffs):
+            v = v * x + c
+        out.append(v)
+    return np.array(out, dtype=complex)
+
+
+def test_cpoly_matches_python_horner():
+    rng = np.random.default_rng(5)
+    polys = [CPoly([0.5, 0.0, -0.0, 2j, 0.0]), CPoly([]), CPoly([1 - 2j])]
+    for _ in range(4):
+        inst = random_instance(rng)
+        polys += [inst.p, inst.q, inst.p.deriv(), inst.q.deriv()]
+    for z in (ball_grid(1.0, 101), ball_grid(1.1, 101)):
+        for poly in polys:
+            assert _within_rounding(poly, poly(z), _python_horner(poly.coeffs, z), z)
 
 
 def test_walk_matches_whole_array_evaluation():
-    # the 101 grids' 7,845 points lie below numpy's 256 KiB temporary
-    # elision, the 201 and 401 grids' above it
+    # every block is evaluated by CPoly on its own, and the blocks give the
+    # bits of one CPoly evaluation over the whole array: on the 101 grids'
+    # 7,845 points, below numpy's 256 KiB temporary elision, and on the 201
+    # and 401 grids above it; on whole blocks, and on a partial last block
+    # of one point, whose product written over its operand would round
+    # differently; on one point and on none
     rng = np.random.default_rng(6)
+    step = localtrans.BLOCK_ENTRIES // 4
     grids = [ball_grid(radius, res) for radius in (1.0, 1.1) for res in (101, 201, 401)]
     assert {z.nbytes >= 256 * 1024 for z in grids} == {False, True}
-    sets = [[CPoly([0.5, 0.0, -0.0, 2j, 0.0]), CPoly([0.0, 1.0]), CPoly([0.0])]]
+    big = grids[-1]
+    grids += [big[: 2 * step], big[: 2 * step + 1], big[:1], big[:0]]
+    assert {z.size % step for z in grids if z.size > step} > {0}
+    sets = [[CPoly([0.5, 0.0, -0.0, 2j, 0.0]), CPoly([0.0, 1.0]), CPoly([0.0]), CPoly([])]]
     for _ in range(4):
         inst = random_instance(rng)
         sets.append([inst.p, inst.q, inst.p.deriv(), inst.q.deriv()])
     for polys in sets:
         for z in grids:
             blocks = list(localtrans._walk(polys, z))
-            assert len(blocks) == -(-z.size // (localtrans.BLOCK_ENTRIES // 4))
+            assert len(blocks) == -(-z.size // step)
             for i, poly in enumerate(polys):
-                assert np.array_equal(np.concatenate([values[i] for _, values in blocks]), _whole_array(poly, z))
-
-
-def test_complex_products_are_not_bitwise_commutative():
-    # why _walk orders c * z**e by the size of the whole grid: should c * a
-    # and a * c ever agree bit for bit, this fails and that rule can go
-    a = ball_grid(1.1, 201) ** 3
-    c = complex(0.3, -0.7)
-    assert not np.array_equal(np.multiply(c, a), np.multiply(a, c))
+                got = np.concatenate([values[i] for _, values in blocks] or [np.zeros(0, dtype=complex)])
+                assert np.array_equal(got, poly(z))
 
 
 def test_graph_and_margins_match_whole_arrays():
-    # _attempt's graph step and both verify grids, against the whole-array
-    # expressions they replaced
+    # _attempt's graph step and both verify grids, walked in blocks, against
+    # the same expressions over whole-array CPoly values
     rng = np.random.default_rng(8)
     sizes = []
     for delta, pexp in ((0.1, 2), (0.45, 1)) * 2:
@@ -120,10 +167,10 @@ def test_graph_and_margins_match_whole_arrays():
         p, q, dp, dq = inst.p, inst.q, inst.p.deriv(), inst.q.deriv()
         for res in (101, 201, 401):
             z = ball_grid(1.1, res)
-            pv, qv = _whole_array(p, z), _whole_array(q, z)
+            pv, qv = p(z), q(z)
             w = (pv - np.conj(pv) * qv) / (1.0 - np.abs(qv) ** 2)
             residual = float(np.max(np.abs(pv - w - np.conj(w) * qv), initial=0.0))
-            l = np.abs(_whole_array(dp, z) - np.conj(w) * _whole_array(dq, z))
+            l = np.abs(dp(z) - np.conj(w) * dq(z))
             blocks = localtrans._walk([p, q], z)
             assert np.array_equal(np.concatenate([_graph(*values)[0] for _, values in blocks]), w)
             got_residual, images = localtrans._near_critical(inst, z)
@@ -133,8 +180,8 @@ def test_graph_and_margins_match_whole_arrays():
         w0 = complex(*(delta * rng.uniform(-0.7, 0.7, size=2)))
         for res in (201, 401):  # _attempt's verify grid and reverify's
             zv = ball_grid(1.0, res)
-            s = np.abs(_whole_array(p, zv) - w0 - np.conj(w0) * _whole_array(q, zv))
-            ds = np.abs(_whole_array(dp, zv) - np.conj(w0) * _whole_array(dq, zv))
+            s = np.abs(p(zv) - w0 - np.conj(w0) * q(zv))
+            ds = np.abs(dp(zv) - np.conj(w0) * dq(zv))
             i = int(np.argmin(np.maximum(s, ds)))
             worst = (complex(zv[i]), float(s[i]), float(ds[i]))
             assert localtrans._verify(inst, w0, zv) == (eta_margin(s, ds), worst)

@@ -546,19 +546,19 @@ def test_kernel_orbit_asserts_class_in_bfs_order(monkeypatch):
     real = lefpen.pencil.classify_arc
     order = []
 
-    def record(x, P, trust_algebraic=False):
+    def record(x, P):
         order.append(arc_key(x))
-        return real(x, P, trust_algebraic=trust_algebraic)
+        return real(x, P)
 
     monkeypatch.setattr(lefpen.pencil, "classify_arc", record)
     kernel_orbit(a, P_ABAB, [gen], 3)
     assert len(order) > 4 and order[0] == arc_key(a)
     flagged = {order[2], order[-1]}
 
-    def flag(x, P, trust_algebraic=False):
+    def flag(x, P):
         if arc_key(x) in flagged:
             return ArcClass(OTHER, repr(arc_key(x)))
-        return real(x, P, trust_algebraic=trust_algebraic)
+        return real(x, P)
 
     monkeypatch.setattr(lefpen.pencil, "classify_arc", flag)
     with pytest.raises(AssertionError) as err:
