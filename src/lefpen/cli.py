@@ -156,7 +156,7 @@ def cmd_verify_deform(args):
     profile = build_cutoff(args.k, args.D, args.c0)
     if args.n < 1:
         raise ValueError("--n must be a positive dimension")
-    if args.n**4 > BLOCK_ENTRIES:  # one grid row's jets must fit in a block
+    if args.n**4 > BLOCK_ENTRIES:  # a desk-scale cap: n <= 16, as 16^4 = BLOCK_ENTRIES
         raise ValueError("--n %d is beyond desk scale: n^4 must be at most %d" % (args.n, BLOCK_ENTRIES))
     model = MorseModel.quadratic(args.n, value=0.5)
     h = DeformedMorse(model, profile)

@@ -46,7 +46,7 @@ MAX_DEGREE = 4  # of the random instances' p and q
 C = 4.0  # w0 keeps clear of the C sigma-neighborhood of the near-critical image
 REVERIFY_FACTOR = 2  # reverify's grid is about this many times finer
 # array entries per block: point-target differences and the values of p, q,
-# p' and q' at a block of z-grid points here, n^4 jets in morse
+# p' and q' at a block of z-grid points here, n^3 third derivatives in morse
 BLOCK_ENTRIES = 1 << 16
 CELLS = 16  # cells per side of the bucket grid over the w-disc points
 SLACK = 1e-9  # relative widening of every cell bound, far above float rounding

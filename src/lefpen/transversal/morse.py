@@ -14,8 +14,10 @@ the shallow rescaled well back into the unit-size quadratic
 sqrt(k) c_j + sum(sign_i y_i^2).
 
 DeformedMorse.jets gives the value, gradient, Hessian and third derivative
-in the rescaled metric, at a point or at each row of an (N, n) stack, from
-closed-form chain rules through the radial map; they back the empirical bounds
+in the rescaled metric, at a point or at each row of an (N, n) stack.  As
+sum(sign_i u_i^2) = l(|y|)^2 sum(sign_i y_i^2) for u = l(|y|) y, h is a
+radial function times a fixed quadratic form, and the jets follow from the
+Leibniz rule with no derivative of u; they back the empirical bounds
 
     max |grad h| = O(D),  grad h eta-transverse to 0,  max |d^3 h| = O(1/D)
 
@@ -48,10 +50,19 @@ def _rows(v, k):
 
 def _row_norms(a):
     """np.linalg.norm of each flattened row.  The stacked matmul (as in
-    (u * u)[:, None, :] @ signs below) makes one BLAS dot per row, which
+    (y * y)[:, None, :] @ signs below) makes one BLAS dot per row, which
     rounds as np.dot does on that row alone."""
     a = a.reshape(len(a), 1, -1)
     return np.sqrt((a @ a.transpose(0, 2, 1))[:, 0, 0])
+
+
+def _sym(m, v):
+    """Sym(m (x) v)_abc = m_ab v_c + m_ac v_b + m_bc v_a at each row of v, for a
+    symmetric m that is one (n, n) matrix or one per row."""
+    return (
+        m[..., :, :, None] * v[:, None, None, :] + m[..., :, None, :] * v[:, None, :, None]
+        + m[..., None, :, :] * v[:, :, None, None]
+    )
 
 
 def _quadratic_jets(c, signs, y):
@@ -142,47 +153,23 @@ class DeformedMorse:
         return tuple(o[0] for o in out) if np.ndim(x) == 1 else out
 
     def _ring_jets(self, base, signs, y, t):
-        """Jets of base + sum(sign_i u_i^2) / sqrt(k), u = l(|y|) y, at rows y of norm t."""
+        """Jets of base + G q / sqrt(k) at rows y of norm t, by the Leibniz rule:
+        sum(sign_i u_i^2) with u = l(|y|) y is G q, for the radial G = g(|y|),
+        g = l^2, and the fixed quadratic form q = sum(sign_i y_i^2)."""
         l, l1, l2, l3 = self.profile.jets(t)
-        r = y / t[:, None]
-        u = l[:, None] * y
-        eye = np.eye(y.shape[1])
-
-        du = _rows(l, 2) * eye + _rows(l1, 2) * (r[:, :, None] * y[:, None, :])
-        # d2u[i,a,b]: fully symmetric
-        sym_dr = (
-            np.einsum("...a,ib->...iab", r, eye)
-            + np.einsum("...b,ia->...iab", r, eye)
-            + np.einsum("...i,ab->...iab", r, eye)
-        )
-        rrr = np.einsum("...i,...a,...b->...iab", r, r, r)
-        d2u = _rows(l1, 3) * sym_dr + _rows(t * l2 - l1, 3) * rrr
-
-        A, B = l1 / t, l2 - l1 / t
-        dd = np.einsum("bc,ia->iabc", eye, eye) + np.einsum("ac,ib->iabc", eye, eye) + np.einsum("ic,ab->iabc", eye, eye)
-        drr = (
-            np.einsum("ia,...b,...c->...iabc", eye, r, r)
-            + np.einsum("ib,...a,...c->...iabc", eye, r, r)
-            + np.einsum("ab,...i,...c->...iabc", eye, r, r)
-            + np.einsum("ac,...b,...i->...iabc", eye, r, r)
-            + np.einsum("bc,...a,...i->...iabc", eye, r, r)
-            + np.einsum("ic,...a,...b->...iabc", eye, r, r)
-        )
-        r4 = np.einsum("...i,...a,...b,...c->...iabc", r, r, r, r)
-        d3u = _rows(A, 4) * dd + _rows(B, 4) * drr + _rows(t * l3 - 3.0 * B, 4) * r4
-
-        scale = 2.0 / self.sqrt_k
-        su = signs * u
-        value = base + ((u * u)[:, None, :] @ signs)[:, 0] / self.sqrt_k
-        grad = scale * (su[:, None, :] @ du)[:, 0]
-        hess = scale * (du.transpose(0, 2, 1) @ np.diag(signs) @ du + np.einsum("...i,...iab->...ab", su, d2u))
-        third = scale * (
-            np.einsum("i,...iab,...ic->...abc", signs, d2u, du)
-            + np.einsum("i,...iac,...ib->...abc", signs, d2u, du)
-            + np.einsum("i,...ibc,...ia->...abc", signs, d2u, du)
-            + np.einsum("...i,...iabc->...abc", su, d3u)
-        )
-        return value, grad, hess, third
+        g1, g2, g3 = 2.0 * l * l1, 2.0 * (l1 * l1 + l * l2), 2.0 * (3.0 * l1 * l2 + l * l3)  # g = l^2
+        r, eye = y / t[:, None], np.eye(y.shape[1])
+        rr, a = r[:, :, None] * r[:, None, :], g2 - g1 / t
+        G, dG = l * l, _rows(g1, 1) * r
+        d2G = _rows(a, 2) * rr + _rows(g1 / t, 2) * eye
+        d3G = _rows(g3 - 3.0 * g2 / t + 3.0 * g1 / (t * t), 3) * rr[:, :, :, None] * r[:, None, None, :]
+        d3G += _rows(a / t, 3) * _sym(eye, r)
+        q, dq, d2q = ((y * y)[:, None, :] @ signs)[:, 0], 2.0 * signs * y, 2.0 * np.diag(signs)
+        dGdq = dG[:, :, None] * dq[:, None, :]
+        grad = _rows(q, 1) * dG + _rows(G, 1) * dq
+        hess = _rows(q, 2) * d2G + dGdq + dGdq.transpose(0, 2, 1) + _rows(G, 2) * d2q
+        third = _rows(q, 3) * d3G + _sym(d2G, dq) + _sym(d2q, dG)
+        return base + G * q / self.sqrt_k, grad / self.sqrt_k, hess / self.sqrt_k, third / self.sqrt_k
 
 
 def deform_grid(model, profile, radial=160, angular=24):
@@ -220,10 +207,10 @@ def deform_grid(model, profile, radial=160, angular=24):
 
 
 def _jet_blocks(h, grid):
-    """h.jets over a grid, one block of rows at a time: the jets take n^4
-    scratch entries per row, and a block about BLOCK_ENTRIES in all."""
+    """h.jets over a grid, one block of rows at a time: the third derivative
+    takes n^3 entries per row, and a block about BLOCK_ENTRIES in all."""
     grid = np.asarray(grid, dtype=float)
-    rows = max(1, BLOCK_ENTRIES // grid.shape[1] ** 4)
+    rows = max(1, BLOCK_ENTRIES // grid.shape[1] ** 3)
     return (h.jets(grid[i : i + rows]) for i in range(0, len(grid), rows))
 
 
@@ -247,7 +234,7 @@ def deform_fd_check(h):
     x, steps = np.array(xs)[:, None], np.array(steps)
     e = steps[:, None, None] * np.eye(n)  # (sample, j, coordinate)
     stack = np.concatenate([x, x + e, x - e], axis=1).reshape(-1, n)  # per sample: x, x + e_j, x - e_j
-    blocks = [(v, g) for v, g, _, _ in _jet_blocks(h, stack)]  # each block's n^3, n^4 jets dropped at once
+    blocks = [(v, g) for v, g, _, _ in _jet_blocks(h, stack)]  # each block's n^2, n^3 jets dropped at once
     v, g = (np.concatenate(b).reshape(FD_SAMPLES, 2 * n + 1, -1) for b in zip(*blocks))
     num = (v[:, 1 : n + 1, 0] - v[:, n + 1 :, 0]) / (2.0 * steps[:, None])
     err = np.max(np.abs(g[:, 0] - num), axis=1) / np.maximum(_row_norms(g[:, 0]), 1e-12)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -152,8 +154,8 @@ def test_stacked_jets_equal_single_point_jets_two_critical_points():
 def test_grid_reports_match_per_point_reference():
     # the per-point loops that the blocked grid walks replaced, kept as the reference
     h = DeformedMorse(MorseModel.quadratic(3, value=0.5), build_cutoff(1e3, 1.0, 1.0))
-    grid = deform_grid(h.model, h.profile, radial=60, angular=16)
-    assert len(grid) > BLOCK_ENTRIES // 3**4  # more than one block
+    grid = deform_grid(h.model, h.profile, radial=80, angular=24)
+    assert len(grid) > BLOCK_ENTRIES // 3**3  # more than one block
     jets = [h.jets(x) for x in grid]
     grads = np.array([np.linalg.norm(g) for _, g, _, _ in jets])
     sigmas = np.array([np.linalg.svd(hess, compute_uv=False)[-1] for _, _, hess, _ in jets])
@@ -204,7 +206,102 @@ def test_fd_check_evaluates_jets_in_bounded_blocks(monkeypatch):
     assert rows == [FD_SAMPLES * 5]  # one call: x and x +- step e_j for each sample
     rows.clear()
     deform_fd_check(DeformedMorse(MorseModel.quadratic(8, value=0.5), build_cutoff(1e3, 1.0, 1.0)))
-    assert sum(rows) == FD_SAMPLES * 17 and max(rows) <= BLOCK_ENTRIES // 8**4
+    assert sum(rows) == FD_SAMPLES * 17 and max(rows) <= BLOCK_ENTRIES // 8**3
+
+
+def ring_jets_reference(h, base, signs, y, t):
+    """The chain rule through u = l(|y|) y that the Leibniz rule on l^2 q replaced:
+    jets of base + sum(sign_i u_i^2) / sqrt(k) at rows y of norm t."""
+    rows = lambda v, k: v.reshape((-1,) + (1,) * k)
+    l, l1, l2, l3 = h.profile.jets(t)
+    r = y / t[:, None]
+    u = l[:, None] * y
+    eye = np.eye(y.shape[1])
+
+    du = rows(l, 2) * eye + rows(l1, 2) * (r[:, :, None] * y[:, None, :])
+    # d2u[i,a,b]: fully symmetric
+    sym_dr = (
+        np.einsum("...a,ib->...iab", r, eye)
+        + np.einsum("...b,ia->...iab", r, eye)
+        + np.einsum("...i,ab->...iab", r, eye)
+    )
+    rrr = np.einsum("...i,...a,...b->...iab", r, r, r)
+    d2u = rows(l1, 3) * sym_dr + rows(t * l2 - l1, 3) * rrr
+
+    A, B = l1 / t, l2 - l1 / t
+    dd = np.einsum("bc,ia->iabc", eye, eye) + np.einsum("ac,ib->iabc", eye, eye) + np.einsum("ic,ab->iabc", eye, eye)
+    drr = (
+        np.einsum("ia,...b,...c->...iabc", eye, r, r)
+        + np.einsum("ib,...a,...c->...iabc", eye, r, r)
+        + np.einsum("ab,...i,...c->...iabc", eye, r, r)
+        + np.einsum("ac,...b,...i->...iabc", eye, r, r)
+        + np.einsum("bc,...a,...i->...iabc", eye, r, r)
+        + np.einsum("ic,...a,...b->...iabc", eye, r, r)
+    )
+    r4 = np.einsum("...i,...a,...b,...c->...iabc", r, r, r, r)
+    d3u = rows(A, 4) * dd + rows(B, 4) * drr + rows(t * l3 - 3.0 * B, 4) * r4
+
+    scale = 2.0 / h.sqrt_k
+    su = signs * u
+    value = base + ((u * u)[:, None, :] @ signs)[:, 0] / h.sqrt_k
+    grad = scale * (su[:, None, :] @ du)[:, 0]
+    hess = scale * (du.transpose(0, 2, 1) @ np.diag(signs) @ du + np.einsum("...i,...iab->...ab", su, d2u))
+    third = scale * (
+        np.einsum("i,...iab,...ic->...abc", signs, d2u, du)
+        + np.einsum("i,...iac,...ib->...abc", signs, d2u, du)
+        + np.einsum("i,...ibc,...ia->...abc", signs, d2u, du)
+        + np.einsum("...i,...iabc->...abc", su, d3u)
+    )
+    return value, grad, hess, third
+
+
+def ring_points(h, center, count, seed):
+    """count seeded points of the ring t_flat < |y| < ball radius about center:
+    both bands, the power annulus and the l = 1 shell."""
+    n = h.model.n
+    dirs = np.random.default_rng(seed).normal(size=(count, n))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    t = np.geomspace(h.profile.t_flat * 1.001, h.ball_radius * 0.999, count)
+    return h.sqrt_k * np.asarray(center, dtype=float) + t[:, None] * dirs
+
+
+def assert_jets_match_chain_rule(h, count=200):
+    for j, crit in enumerate(h.model.crits):
+        x = ring_points(h, crit.center, count, j)
+        y = x - h.sqrt_k * np.asarray(crit.center, dtype=float)
+        signs = np.asarray(crit.signs, dtype=float)
+        ref = ring_jets_reference(h, h.sqrt_k * crit.value, signs, y, np.linalg.norm(y, axis=1))
+        for d, (got, want) in enumerate(zip(h.jets(x), ref)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (crit, d)
+
+
+@pytest.mark.parametrize("k, D", [(1e3, 1.0), (1e5, 1.0), (1e5, 2.0)])  # k = 1e3 is below D = 2's threshold
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_ring_jets_match_chain_rule_reference(n, k, D):
+    assert_jets_match_chain_rule(DeformedMorse(MorseModel.quadratic(n, value=0.5), build_cutoff(k, D, 1.0)))
+
+
+def test_ring_jets_match_chain_rule_reference_two_critical_points():
+    crits = [
+        CriticalPoint((0.0, 0.0), 0.0, (1, -1)),
+        CriticalPoint((3.0, 0.0), 1.0, (1, 1)),
+    ]
+    assert_jets_match_chain_rule(DeformedMorse(MorseModel(2, crits, background=None), build_cutoff(1e4, 1.0, 1.0)))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_ring_jets_peak_memory_stays_near_one_block(n):
+    # a full block of ring rows: the third derivative alone is BLOCK_ENTRIES
+    # floats, and no scratch array is larger than it per row
+    h = DeformedMorse(MorseModel.quadratic(n, value=0.5), build_cutoff(1e3, 1.0, 1.0))
+    x = ring_points(h, h.model.crits[0].center, BLOCK_ENTRIES // n**3, n)
+    tracemalloc.start()
+    try:
+        h.jets(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * BLOCK_ENTRIES * 8
 
 
 class SkewedGradient(DeformedMorse):
