@@ -8,9 +8,9 @@ sending x_i to the Dehn twist about c_i (words evaluated left to right),
 together with the labelling L(w x_i w^(-1)) = zeta(w)(c_i) of all conjugates
 of generators by cycle classes.  A label twists c_i along w's letters one
 letter at a time, from the right (Picard-Lefschetz).  On homology fibers
-each step is the transvection v -> v +- <v, c> c, so no twist matrix is
-built; matrices, cached on the pencil outside equality, serve only
-monodromy_of, the total monodromy and reports of failed stabilizer checks.
+each step is the transvection v -> v +- <v, c> c, and so is the total
+monodromy's, so no twist matrix is built; matrices, cached on the pencil
+outside equality, serve only monodromy_of and failed stabilizer checks.
 
 The automorphism group Gamma of the pencil consists of the pairs
 (braid b, fiber element g) with zeta(b.x_i) = g zeta(x_i) g^(-1) and
@@ -23,9 +23,11 @@ Hurwitz moves are the braid action on factorizations characterized by
 "the moved pencil, precomposed with b, has the original monodromy data":
 the new i-th cycle is the label of b^(-1).x_i.  On generators this gives
 the familiar rule s_i: (c_i, c_{i+1}) -> (c_{i+1}, twist(c_{i+1})^(-1) c_i)
-and the total monodromy zeta(x_1 .. x_r) never changes.  So Gamma is the
-stabilizer of the Hurwitz action: (b, g) lies in Gamma exactly when the
-move by b^(-1) sends the pencil to (g(c_1), .., g(c_r)).
+and the total monodromy zeta(x_1 .. x_r) never changes.  The labels Q of
+phi_u(x_1 .. x_r) have L_Q = L_P o phi_u, so moves, orbits, Gamma checks
+and arc labels fold one step, _move, of one twist, over u's letters.  So
+Gamma is the stabilizer of the Hurwitz action: (b, g) lies in Gamma
+exactly when the move by b^(-1) sends the pencil to (g(c_1), .., g(c_r)).
 
 Arcs between critical values are classified through their supporting pair
 of words (eta', eta'') and the cycles S' = L(eta'), S'' = L(eta''):
@@ -44,6 +46,7 @@ case; see dual_singularity_braid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .words import (
     Arc,
@@ -130,26 +133,34 @@ class Pencil:
     def r(self):
         return len(self.cycles)
 
+    def _check_letter(self, l):
+        if not 0 < abs(l) <= len(self.cycles):
+            raise ValueError("letter %r is out of range: a pencil of %d cycles takes ±1..±%d" % (l, self.r, self.r))
+
     def twist(self, l):
         """zeta of the letter l: the Dehn twist about c_|l|, inverted for
         l < 0.  Built on first use and cached on the pencil."""
         if l not in self._twists:
+            self._check_letter(l)
             self._twists[l] = dehn_twist(self.cycles[l - 1]) if l > 0 else self.twist(-l).inverse()
         return self._twists[l]
 
     def twist_cycle(self, l, x):
-        """zeta(x_l)(x).  Homology fibers take the transvection about
-        c = c_|l|, x + <x, c> c, or x - <x, c> c for l < 0 (its inverse, as
-        <c, c> = 0); the disc fiber acts by the twist."""
+        """zeta(x_l)(x): on homology the transvection about c_|l|, inverted for l < 0
+        (as <c, c> = 0, flipping its sign inverts it); the disc fiber acts by the twist."""
         if self.fiber.kind == DISC:
             return act(self.twist(l), x)
-        c = self.cycles[abs(l) - 1].vector
-        k = symplectic_pairing(x.vector, c) if l > 0 else -symplectic_pairing(x.vector, c)
-        v = tuple(a + k * b for a, b in zip(x.vector, c))
+        self._check_letter(l)
+        v = _transvect(x.vector, self.cycles[abs(l) - 1].vector, l)
         return _new(Cycle, model=self.fiber, vector=_normalize_sign(v))
 
     def total_monodromy(self):
-        return monodromy_of(self, _new(FreeWord, rank=self.r, letters=tuple(range(1, self.r + 1))))
+        """zeta(x_1 .. x_r); on homology, column j is e_j moved by the transvections about c_r, .., c_1."""
+        if self.fiber.kind == DISC:
+            return monodromy_of(self, _new(FreeWord, rank=self.r, letters=tuple(range(1, self.r + 1))))
+        vectors = [c.vector for c in reversed(self.cycles)]
+        columns = [reduce(_transvect, vectors, e) for e in FiberElement.identity(self.fiber).matrix]
+        return _new(FiberElement, model=self.fiber, matrix=tuple(zip(*columns)))
 
     def is_closed(self):
         return self.total_monodromy() == FiberElement.identity(self.fiber)
@@ -166,6 +177,12 @@ class Pencil:
 
     def __repr__(self):
         return "Pencil(%r, %r)" % (self.fiber, list(self.cycles))
+
+
+def _transvect(v, c, l=1):
+    """v + <v, c> c, or v - <v, c> c for l < 0: the homology twist about c or its inverse."""
+    k = symplectic_pairing(v, c) if l > 0 else -symplectic_pairing(v, c)
+    return tuple(a + k * b for a, b in zip(v, c))
 
 
 @dataclass(frozen=True)
@@ -210,32 +227,33 @@ def vanishing_label(P, gamma):
     lo = _core_at(gamma.letters)
     if lo is None:
         raise ValueError("word %r is not a conjugate of a generator" % (word_to_str(gamma),))
-    return _label(P, gamma.letters, lo)
-
-
-def _label(P, letters, lo):
-    """The label of the raw word letters = w x_i w^(-1), with w = letters[:lo]."""
-    c = P.cycles[letters[lo] - 1]
-    for l in reversed(letters[:lo]):
+    c = P.cycles[gamma.letters[lo] - 1]
+    for l in reversed(gamma.letters[:lo]):
         c = P.twist_cycle(l, c)
     return c
+
+
+def _move(P, s):
+    """The labels Q of phi_s(x_1 .. x_r), the Hurwitz move by s^(-1): one twist.  As zeta_Q =
+    zeta_P o phi_s, a left fold of _move over u's letters gives the labels of phi_u(x_1 .. x_r)."""
+    j, c = abs(s), list(P.cycles)
+    if s > 0:
+        c[j - 1], c[j] = P.twist_cycle(j, c[j]), c[j - 1]
+    else:
+        c[j - 1], c[j] = c[j], P.twist_cycle(-(j + 1), c[j - 1])
+    return _new(Pencil, fiber=P.fiber, cycles=tuple(c), _twists={})
 
 
 def hurwitz_apply(b, P):
     """Hurwitz move of the factorization by the braid b.
 
     Defining contract: the monodromy data of the result, precomposed with
-    the Artin automorphism of b, is the data of P.  Total monodromy is
-    preserved because every braid fixes x_1 .. x_r as a product.
+    the Artin automorphism of b, is the data of P: the fold of _move over b^(-1).
+    Total monodromy is preserved because every braid fixes x_1 .. x_r as a product.
     """
     if b.strands != P.r:
         raise RankMismatch("braid strand count %d does not match pencil size %d" % (b.strands, P.r))
-    return _relabel(P, b.inverse()._images())
-
-
-def _relabel(P, img):
-    """The pencil of the labels of the raw images img: the move by b when img is b^(-1)'s."""
-    return _new(Pencil, fiber=P.fiber, cycles=tuple(_label(P, u, _core_at(u)) for u in img), _twists={})
+    return reduce(_move, b.inverse().letters, P)
 
 
 def in_gamma(A, P):
@@ -247,20 +265,19 @@ def in_gamma_detail(A, P):
     """Like in_gamma, but reports the first violated generator with both sides.
 
     (b, g) lies in Gamma exactly when the Hurwitz move by b^(-1) sends the
-    pencil to (g(c_1), .., g(c_r)): the label of b.x_i, read by _label from
-    b's raw images as _relabel reads them, is g(c_i) for every i.  Both
-    monodromy sides are built only at the first generator whose labels
-    differ, and reported if they differ too.
+    pencil to (g(c_1), .., g(c_r)), the labels of b.x_i being the fold of _move
+    over b's letters; b's images serve the report only.  Both monodromy sides are
+    built only at the first generator whose labels differ, and reported if they differ too.
     """
     if A.b.strands != P.r:
         raise RankMismatch("automorphism braid strand count does not match pencil size")
     if A.g.model != P.fiber:
         raise ModelMismatch("automorphism fiber element lives in the wrong model")
-    for i, u in enumerate(A.b._images(), 1):
-        lhs, rhs = _label(P, u, _core_at(u)), act(A.g, P.cycles[i - 1])
+    moved = reduce(_move, A.b.letters, P).cycles
+    for i, (lhs, rhs) in enumerate(zip(moved, (act(A.g, c) for c in P.cycles)), 1):
         if lhs == rhs:
             continue
-        word = _new(FreeWord, rank=P.r, letters=u)
+        word = _new(FreeWord, rank=P.r, letters=A.b._images()[i - 1])
         lhs_elem, rhs_elem = monodromy_of(P, word), A.g * P.twist(i) * A.g.inverse()
         monodromy = lhs_elem != rhs_elem
         return False, {
@@ -274,17 +291,15 @@ def in_gamma_detail(A, P):
 
 
 def arc_labels(a, P):
-    """(eta', eta'', S', S'') for an arc over the pencil's critical values."""
-    eta1, eta2 = supporting_pair(a)
-    s1 = vanishing_label(P, eta1)
-    s2 = vanishing_label(P, eta2)
-    return eta1, eta2, s1, s2
+    """(eta', eta'', S', S'') for an arc over the pencil's critical values.  With Q the
+    fold of _move over the carrier, S' = Q's c_b and S'' = twist(c_b) Q's c_{b+1}, b the base."""
+    Q = reduce(_move, a.carrier.letters, P)
+    return (*supporting_pair(a), Q.cycles[a.base - 1], Q.twist_cycle(a.base, Q.cycles[a.base]))
 
 
 def classify_arc(a, P, trust_algebraic=False):
     """Classify an arc by the labels of its supporting pair; see classify_labels."""
-    _, _, s1, s2 = arc_labels(a, P)
-    return classify_labels(s1, s2, trust_algebraic=trust_algebraic)
+    return classify_labels(*arc_labels(a, P)[2:], trust_algebraic=trust_algebraic)
 
 
 def classify_labels(s1, s2, trust_algebraic=False):
@@ -495,10 +510,10 @@ def kernel_orbit(a, P, gens, depth):
 
 
 def hurwitz_orbit(P, depth):
-    """Closure of a pencil under elementary Hurwitz moves, up to given depth."""
-    # the moves s_i^e; their inverses s_i^-e are the same set, acted once each
-    inverses = [Braid(P.r, (-e * i,))._images() for i in range(1, P.r) for e in (1, -1)]
-    return set(_closure(P, lambda cur: (_relabel(cur, img) for img in inverses), depth, lambda Q: Q))
+    """Closure of a pencil under elementary Hurwitz moves, up to given depth.  The moves
+    by s_i^e are the _move steps by s_i^-e, so one step per letter covers them."""
+    moves = lambda cur: (_move(cur, e * i) for i in range(1, P.r) for e in (-1, 1))
+    return set(_closure(P, moves, depth, lambda Q: Q))
 
 
 # --- files ----------------------------------------------------------------

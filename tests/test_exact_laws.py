@@ -12,6 +12,7 @@ through the public constructors, and the boundary table keeps their checks.
 import json
 import os
 import re
+from functools import reduce
 from math import gcd
 
 import numpy as np
@@ -54,6 +55,8 @@ from lefpen.pencil import (
     Automorphism,
     Pencil,
     _closure,
+    _move,
+    arc_labels,
     automorphism_from_json,
     enumerate_arcs,
     hurwitz_apply,
@@ -329,6 +332,11 @@ def reference_label(P, gamma):
     return c
 
 
+def relabel_reference(P, b):
+    """The Hurwitz move by b by its contract: reference_label of each of b^(-1)'s images."""
+    return Pencil(P.fiber, [reference_label(P, u) for u in b.inverse().action()])
+
+
 @LAWS
 @given(st.data())
 def test_twist_cycle_is_the_letters_twist_acting(data):
@@ -355,9 +363,62 @@ def test_hurwitz_orbit_is_the_closure_of_hurwitz_apply(name):
     reached = _closure(P, lambda cur: (hurwitz_apply(b, cur) for b in moves), 3, lambda Q: Q)
     assert hurwitz_orbit(P, 3) == set(reached)
     # and of the move by the contract, labels taken by the twist loop
-    relabel = lambda cur, b: Pencil(P.fiber, [reference_label(cur, u) for u in b.inverse().action()])
-    reached = _closure(P, lambda cur: (relabel(cur, b) for b in moves), 3, lambda Q: Q)
+    reached = _closure(P, lambda cur: (relabel_reference(cur, b) for b in moves), 3, lambda Q: Q)
     assert hurwitz_orbit(P, 3) == set(reached)
+
+
+@st.composite
+def pencils_and_braids(draw, min_r=2):
+    """A pencil and a braid on its strands, of at most 6 letters (4 on the disc, whose words grow)."""
+    P = draw(pencils(min_r=min_r))
+    return P, draw(braids(P.r, 4 if P.fiber.kind == "disc" else 6))
+
+
+@LAWS
+@given(pencils_and_braids())
+def test_hurwitz_apply_matches_the_images_then_labels_reference(case):
+    P, b = case
+    assert hurwitz_apply(b, P) == relabel_reference(P, b)
+
+
+@LAWS
+@given(pencils_and_braids(), st.data())
+def test_arc_labels_are_the_reference_labels_of_the_supporting_pair(case, data):
+    P, carrier = case
+    a = Arc(data.draw(st.integers(1, P.r - 1)), carrier)
+    eta1, eta2, s1, s2 = arc_labels(a, P)
+    assert (eta1, eta2) == supporting_pair(a)
+    assert (s1, s2) == (reference_label(P, eta1), reference_label(P, eta2))
+
+
+@LAWS
+@given(st.data())
+def test_a_move_then_its_inverse_is_the_identity(data):
+    P = data.draw(pencils(min_r=2))
+    s = data.draw(st.integers(1, P.r - 1)) * data.draw(st.sampled_from([1, -1]))
+    assert _move(_move(P, s), -s) == P
+
+
+@LAWS
+@given(st.data())
+def test_moves_satisfy_the_braid_relations(data):
+    # s_i s_(i+1) s_i = s_(i+1) s_i s_(i+1), and s_i s_j = s_j s_i for |i - j| >= 2, in either sign
+    P = data.draw(pencils(min_r=3, max_r=5))
+    fold = lambda letters: reduce(_move, letters, P)
+    i = data.draw(st.integers(1, P.r - 2))
+    e, f = data.draw(st.sampled_from([1, -1])), data.draw(st.sampled_from([1, -1]))
+    assert fold((e * i, e * (i + 1), e * i)) == fold((e * (i + 1), e * i, e * (i + 1)))
+    far = [(i, j) for i in range(1, P.r) for j in range(i + 2, P.r)]
+    if far:
+        i, j = data.draw(st.sampled_from(far))
+        assert fold((e * i, f * j)) == fold((f * j, e * i))
+
+
+@LAWS
+@given(st.data())
+def test_total_monodromy_is_the_product_of_the_twists(data):
+    P = data.draw(pencils())
+    assert P.total_monodromy() == monodromy_of(P, FreeWord(P.r, range(1, P.r + 1)))
 
 
 @LAWS
@@ -480,6 +541,22 @@ def test_in_gamma_detail_matches_the_two_half_reference(case):
         assert set(calls) <= ({"dehn_twist"} if P.fiber.kind == "disc" else set())
     else:
         assert calls.count("monodromy_of") == 1
+
+
+DISC3 = FiberModel("disc", punctures=3)
+A_B_A = Pencil(TORUS, [Cycle(TORUS, vector=v) for v in ((1, 0), (0, 1), (1, 0))])
+THREE_PUNCTURES = Pencil(DISC3, [standard_curve(DISC3, i, i) for i in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("P, check", [(A_B_A, "monodromy"), (THREE_PUNCTURES, "label")], ids=["torus", "disc"])
+def test_in_gamma_detail_reports_a_later_generator_as_the_reference_does(P, check):
+    # s2 fixes x1, so generator 2 fails first: on the torus T_b(a) = a + b has another twist than b,
+    # and around single punctures only the labels differ
+    A = Automorphism(Braid(3, (2,)), FiberElement.identity(P.fiber))
+    ok, detail = in_gamma_detail(A, P)
+    assert not ok and (detail["generator"], detail["check"]) == (2, check)
+    assert detail["moved_word"] == "x2 x3 X2"
+    assert (ok, detail) == in_gamma_detail_reference(A, P)
 
 
 @LAWS

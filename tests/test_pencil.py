@@ -1,4 +1,5 @@
 import random
+import re
 from functools import lru_cache
 from itertools import product
 
@@ -178,6 +179,20 @@ def test_in_gamma_detail_reports_violation():
         assert not ok
         assert detail["generator"] == 1 and detail["check"] == check
     assert (detail["lhs"], detail["rhs"]) == ("x2", "x1")
+
+
+DISC3 = FiberModel("disc", punctures=3)
+P_DISC3_R4 = Pencil(DISC3, [standard_curve(DISC3, i, 3) for i in (1, 2, 3, 1)])
+
+
+@pytest.mark.parametrize("P", [P_ABAB, P_DISC3_R4], ids=["torus", "disc"])
+@pytest.mark.parametrize("l", [0, 5, -5])
+def test_twists_reject_letters_outside_the_pencil(P, l):
+    # a letter must name a cycle of the pencil: 0 and +-(r + 1) name none
+    message = "letter %d is out of range: a pencil of 4 cycles takes ±1..±4" % l
+    for call in (lambda: P.twist(l), lambda: P.twist_cycle(l, P.cycles[0])):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call()
 
 
 def test_gamma_closed_under_composition_and_inverse():
