@@ -368,9 +368,9 @@ def test_hurwitz_orbit_is_the_closure_of_hurwitz_apply(name):
 
 
 @st.composite
-def pencils_and_braids(draw, min_r=2):
+def pencils_and_braids(draw):
     """A pencil and a braid on its strands, of at most 6 letters (4 on the disc, whose words grow)."""
-    P = draw(pencils(min_r=min_r))
+    P = draw(pencils(min_r=2))
     return P, draw(braids(P.r, 4 if P.fiber.kind == "disc" else 6))
 
 
