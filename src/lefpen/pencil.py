@@ -8,9 +8,9 @@ sending x_i to the Dehn twist about c_i (words evaluated left to right),
 together with the labelling L(w x_i w^(-1)) = zeta(w)(c_i) of all conjugates
 of generators by cycle classes.  A label twists c_i along w's letters one
 letter at a time, from the right (Picard-Lefschetz).  On homology fibers
-each step is the transvection v -> v +- <v, c> c, and so is the total
-monodromy's, so no twist matrix is built; matrices, cached on the pencil
-outside equality, serve only monodromy_of and failed stabilizer checks.
+each step is the transvection v -> v +- <v, c> c, so no twist matrix is
+built; matrices, cached on the pencil outside equality, serve only
+monodromy_of, the total monodromy and reports of failed stabilizer checks.
 
 The automorphism group Gamma of the pencil consists of the pairs
 (braid b, fiber element g) with zeta(b.x_i) = g zeta(x_i) g^(-1) and
@@ -23,11 +23,11 @@ Hurwitz moves are the braid action on factorizations characterized by
 "the moved pencil, precomposed with b, has the original monodromy data":
 the new i-th cycle is the label of b^(-1).x_i.  On generators this gives
 the familiar rule s_i: (c_i, c_{i+1}) -> (c_{i+1}, twist(c_{i+1})^(-1) c_i)
-and the total monodromy zeta(x_1 .. x_r) never changes.  The labels Q of
-phi_u(x_1 .. x_r) have L_Q = L_P o phi_u, so moves, orbits, Gamma checks
-and arc labels fold one step, _move, of one twist, over u's letters.  So
-Gamma is the stabilizer of the Hurwitz action: (b, g) lies in Gamma
-exactly when the move by b^(-1) sends the pencil to (g(c_1), .., g(c_r)).
+and the total monodromy zeta(x_1 .. x_r) never changes.  The labels of
+phi_u(x_1 .. x_r) are L o phi_u, so moves, orbits, Gamma checks and arc
+labels fold a one-twist step, _move, over u's letters.  So Gamma is the
+stabilizer of the Hurwitz action: (b, g) lies in Gamma exactly when the
+move by b^(-1) sends the pencil to (g(c_1), .., g(c_r)).
 
 Arcs between critical values are classified through their supporting pair
 of words (eta', eta'') and the cycles S' = L(eta'), S'' = L(eta''):
@@ -146,21 +146,19 @@ class Pencil:
         return self._twists[l]
 
     def twist_cycle(self, l, x):
-        """zeta(x_l)(x): on homology the transvection about c_|l|, inverted for l < 0
-        (as <c, c> = 0, flipping its sign inverts it); the disc fiber acts by the twist."""
+        """zeta(x_l)(x).  Homology fibers take the transvection about
+        c = c_|l|, x + <x, c> c, or x - <x, c> c for l < 0 (its inverse, as
+        <c, c> = 0); the disc fiber acts by the twist."""
         if self.fiber.kind == DISC:
             return act(self.twist(l), x)
         self._check_letter(l)
-        v = _transvect(x.vector, self.cycles[abs(l) - 1].vector, l)
+        c = self.cycles[abs(l) - 1].vector
+        k = symplectic_pairing(x.vector, c) if l > 0 else -symplectic_pairing(x.vector, c)
+        v = tuple(a + k * b for a, b in zip(x.vector, c))
         return _new(Cycle, model=self.fiber, vector=_normalize_sign(v))
 
     def total_monodromy(self):
-        """zeta(x_1 .. x_r); on homology, column j is e_j moved by the transvections about c_r, .., c_1."""
-        if self.fiber.kind == DISC:
-            return monodromy_of(self, _new(FreeWord, rank=self.r, letters=tuple(range(1, self.r + 1))))
-        vectors = [c.vector for c in reversed(self.cycles)]
-        columns = [reduce(_transvect, vectors, e) for e in FiberElement.identity(self.fiber).matrix]
-        return _new(FiberElement, model=self.fiber, matrix=tuple(zip(*columns)))
+        return monodromy_of(self, _new(FreeWord, rank=self.r, letters=tuple(range(1, self.r + 1))))
 
     def is_closed(self):
         return self.total_monodromy() == FiberElement.identity(self.fiber)
@@ -177,12 +175,6 @@ class Pencil:
 
     def __repr__(self):
         return "Pencil(%r, %r)" % (self.fiber, list(self.cycles))
-
-
-def _transvect(v, c, l=1):
-    """v + <v, c> c, or v - <v, c> c for l < 0: the homology twist about c or its inverse."""
-    k = symplectic_pairing(v, c) if l > 0 else -symplectic_pairing(v, c)
-    return tuple(a + k * b for a, b in zip(v, c))
 
 
 @dataclass(frozen=True)
@@ -293,6 +285,8 @@ def in_gamma_detail(A, P):
 def arc_labels(a, P):
     """(eta', eta'', S', S'') for an arc over the pencil's critical values.  With Q the
     fold of _move over the carrier, S' = Q's c_b and S'' = twist(c_b) Q's c_{b+1}, b the base."""
+    if a.strands != P.r:
+        raise RankMismatch("arc strand count %d does not match pencil size %d" % (a.strands, P.r))
     Q = reduce(_move, a.carrier.letters, P)
     return (*supporting_pair(a), Q.cycles[a.base - 1], Q.twist_cycle(a.base, Q.cycles[a.base]))
 

@@ -416,13 +416,6 @@ def test_moves_satisfy_the_braid_relations(data):
 
 @LAWS
 @given(st.data())
-def test_total_monodromy_is_the_product_of_the_twists(data):
-    P = data.draw(pencils())
-    assert P.total_monodromy() == monodromy_of(P, FreeWord(P.r, range(1, P.r + 1)))
-
-
-@LAWS
-@given(st.data())
 def test_generator_conjugate_decomposes_by_its_peeled_prefix(data):
     # the decomposition is a function of the word: trailing x_i^(+-1) letters of w cancel into the core
     r = data.draw(st.integers(1, 5))

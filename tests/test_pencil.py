@@ -7,7 +7,7 @@ import pytest
 
 import lefpen.pencil
 import lefpen.words
-from lefpen.words import Arc, Braid, FreeWord, artin_apply, braid_to_str, word_from_str
+from lefpen.words import Arc, Braid, FreeWord, RankMismatch, artin_apply, braid_to_str, word_from_str
 from lefpen.fiber import (
     Cycle,
     FiberElement,
@@ -30,6 +30,7 @@ from lefpen.pencil import (
     Pencil,
     _carrier_words,
     arc_key,
+    arc_labels,
     automorphism_from_arc,
     automorphism_from_json,
     base_twist_automorphism,
@@ -193,6 +194,16 @@ def test_twists_reject_letters_outside_the_pencil(P, l):
     for call in (lambda: P.twist(l), lambda: P.twist_cycle(l, P.cycles[0])):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             call()
+
+
+@pytest.mark.parametrize("strands", [2, 5])
+def test_arcs_must_fit_the_pencil(strands):
+    # an arc over fewer or more critical values than the pencil has is not one of its arcs
+    a = Arc(1, Braid(strands))
+    message = "arc strand count %d does not match pencil size 4" % strands
+    for call in (arc_labels, classify_arc):
+        with pytest.raises(RankMismatch, match="^" + message + "$"):
+            call(a, P_ABAB)
 
 
 def test_gamma_closed_under_composition_and_inverse():
