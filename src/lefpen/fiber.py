@@ -27,7 +27,7 @@ of the exact layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .words import (
@@ -50,19 +50,17 @@ class UnsupportedCycle(ValueError):
     """A disc-model operation needs a curve presentation this cycle lacks."""
 
 
-@dataclass(frozen=True)
-class FiberModel:
-    kind: str
-    genus: int = 0
-    punctures: int = 0
+class FiberModel(namedtuple("FiberModel", "kind genus punctures")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in (TORUS, SP, DISC):
-            raise ValueError("unknown fiber model %r" % (self.kind,))
-        if self.kind == SP and self.genus < 1:
+    def __new__(cls, kind, genus=0, punctures=0):
+        if kind not in (TORUS, SP, DISC):
+            raise ValueError("unknown fiber model %r" % (kind,))
+        if kind == SP and genus < 1:
             raise ValueError("sp model needs genus >= 1")
-        if self.kind == DISC and self.punctures < 2:
+        if kind == DISC and punctures < 2:
             raise ValueError("disc model needs at least 2 punctures")
+        return super().__new__(cls, kind, genus, punctures)
 
     @property
     def dim(self):
@@ -190,7 +188,7 @@ class Cycle:
         return self.vector == other.vector and self.word == other.word
 
     def __hash__(self):
-        return hash((self.model, self.vector, self.word.letters if self.word else None))
+        return hash(self.vector or self.word.letters)
 
     def __repr__(self):
         if self.model.kind == DISC:
@@ -275,7 +273,7 @@ class FiberElement:
         return self.matrix == other.matrix
 
     def __hash__(self):
-        return hash((self.model, self.matrix, self.braid))
+        return hash(self.matrix or self.braid)
 
     def __repr__(self):
         if self.model.kind == DISC:

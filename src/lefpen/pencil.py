@@ -45,7 +45,7 @@ case; see dual_singularity_braid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 
 from .words import (
@@ -164,31 +164,24 @@ class Pencil:
         return self.total_monodromy() == FiberElement.identity(self.fiber)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Pencil)
-            and self.fiber == other.fiber
-            and self.cycles == other.cycles
-        )
+        # equal cycles live in one model, so the fibers need no comparison
+        return isinstance(other, Pencil) and self.cycles == other.cycles
 
     def __hash__(self):
-        return hash((self.fiber, self.cycles))
+        return hash(self.cycles)
 
     def __repr__(self):
         return "Pencil(%r, %r)" % (self.fiber, list(self.cycles))
 
 
-@dataclass(frozen=True)
-class Automorphism:
+class Automorphism(namedtuple("Automorphism", "b g")):
     """A candidate element (b, g) of the automorphism group of a pencil."""
 
-    b: Braid
-    g: FiberElement
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ArcClass:
-    kind: str
-    reason: str | None = None
+class ArcClass(namedtuple("ArcClass", "kind reason", defaults=(None,))):
+    __slots__ = ()
 
     def __str__(self):
         if self.reason:

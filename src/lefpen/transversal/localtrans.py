@@ -304,8 +304,7 @@ def _farthest(points, targets):
 def _verify(inst, w0, z):
     """(margin, worst) of s(., w0) = p - w0 - conj(w0) q over the points z,
     walked in blocks: margin is eta_margin(|s|, |ds/dz|), and worst is
-    (z, |s|, |ds/dz|) at the first point where max(|s|, |ds/dz|) is least,
-    or None on no points."""
+    (z, |s|, |ds/dz|) at the first point where max(|s|, |ds/dz|) is least."""
     cw0 = np.conj(w0)
     blocks = []
     for block, (pv, qv, dpv, dqv) in _walk([inst.p, inst.q, inst.p.deriv(), inst.q.deriv()], z):
@@ -313,8 +312,6 @@ def _verify(inst, w0, z):
         ds = np.abs(dpv - cw0 * dqv)
         i = int(np.argmin(np.maximum(s, ds)))
         blocks.append((eta_margin(s, ds), complex(z[block][i]), float(s[i]), float(ds[i])))
-    if not blocks:
-        return np.inf, None
     margins = [b[0] for b in blocks]
     return float(np.min(margins)), blocks[int(np.argmin(margins))][1:]
 
@@ -370,7 +367,11 @@ def find_good_w0(inst, graph_resolution=201, w_resolution=201, verify_resolution
     that image.  The returned certificate is validated by a brute-force
     transversality check at eta = sigma over the unit disc; one automatic
     2x refinement is attempted before failing with the refined pass's reason.
+    A graph or verify grid with no points in its disc would certify nothing: ValueError.
     """
+    for name, res in (("graph", graph_resolution), ("verify", verify_resolution)):
+        if res < 3:  # the square grid's points are then its corners, if any, all outside the disc
+            raise ValueError("the %s grid at resolution %d has no points in the disc" % (name, res))
     spec = (graph_resolution, w_resolution, verify_resolution)
     for grids in (spec, tuple(2 * r - 1 for r in spec)):
         result = _attempt(inst, *grids)

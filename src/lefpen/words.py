@@ -39,7 +39,7 @@ and are built by ``_new``, the exact layer's one unchecked constructor.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from operator import neg
 
@@ -129,7 +129,7 @@ class FreeWord:
         )
 
     def __hash__(self):
-        return hash((self.rank, self.letters))
+        return hash(self.letters)
 
     def __repr__(self):
         return "FreeWord(%d, %r)" % (self.rank, list(self.letters))
@@ -213,7 +213,7 @@ class Braid:
         return self._images() == other._images()
 
     def __hash__(self):
-        return hash((self.strands, self._images()))
+        return hash(self._images())
 
     def __repr__(self):
         return "Braid(%d, %r)" % (self.strands, list(self.letters))
@@ -259,8 +259,7 @@ def artin_apply(b, u):
     return _new(FreeWord, rank=u.rank, letters=letters)
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(namedtuple("Arc", "base carrier")):
     """An embedded arc between two punctures, encoded as a pushed base arc.
 
     ``Arc(base, carrier)`` denotes the image of the straight arc between
@@ -268,12 +267,12 @@ class Arc:
     embedded arc between punctures is of this form up to isotopy.
     """
 
-    base: int
-    carrier: Braid
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.base <= self.carrier.strands - 1:
-            raise ValueError("arc base %d out of range for %d strands" % (self.base, self.carrier.strands))
+    def __new__(cls, base, carrier):
+        if not 1 <= base <= carrier.strands - 1:
+            raise ValueError("arc base %d out of range for %d strands" % (base, carrier.strands))
+        return super().__new__(cls, base, carrier)
 
     @property
     def strands(self):

@@ -292,6 +292,7 @@ MALFORMED = [
     pytest.param("validate", UNTWISTABLE, GOOD_AUTO, [], id="validate-untwistable"),
     pytest.param("validate", UNTWISTABLE, GOOD_AUTO, ["--closed"], id="validate-closed-untwistable"),
     pytest.param("hurwitz", UNTWISTABLE, GOOD_AUTO, ["--braid", "s1"], id="hurwitz-untwistable"),
+    pytest.param("matching", GOOD_PENCIL, GOOD_AUTO, ["--max-len", "-1"], id="matching-negative-max-len"),
 ]
 
 
@@ -310,6 +311,8 @@ def test_malformed_documents_exit_2_with_one_error_line(capsys, tmp_path, comman
             "error: disc cycle 'x1 x3' cannot be twisted, and a pencil's monodromy is the twists about its cycles;"
             " a disc cycle read from a file must be a round range word such as 'x2 x3'"
         )
+    if args == ["--max-len", "-1"]:
+        assert line == "error: --max-len must be >= 0"
 
 
 NESTED = "[" * 100000 + "]" * 100000  # past the decoder's recursion limit; json.dumps cannot build it
@@ -484,7 +487,8 @@ def test_console_entry_point():
 
 def test_pencil_subcommands_run_without_numpy():
     # every pencil subcommand on the data pencils, then one verify subcommand, in one new
-    # process; prints the exit codes and whether numpy was loaded before the verify call
+    # process; prints the exit codes and which of numpy, dataclasses and inspect were loaded
+    # before the verify call
     script = """
 import contextlib, io, json, os, sys
 import lefpen
@@ -500,15 +504,15 @@ for p in pencils:
     ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [lefpen.cli.main(argv) for argv in runs]
-    numpy_loaded = "numpy" in sys.modules
+    loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
     radial = lefpen.cli.main(["verify", "radial", "--samples", "5"])
-print(json.dumps({"codes": codes, "numpy_loaded": numpy_loaded, "radial": radial}))
+print(json.dumps({"codes": codes, "loaded": loaded, "radial": radial}))
 """
     proc = run_fresh("-c", script, DATA)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["codes"] == [1] + [1, 0, 0] * 3  # no data pencil is closed; s1 is not in Gamma
-    assert not result["numpy_loaded"]
+    assert result["loaded"] == []
     assert result["radial"] == 0
 
 

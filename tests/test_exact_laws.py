@@ -160,6 +160,69 @@ def test_cached_twists_leave_equality_and_hash_alone(data):
     assert all(fresh.twist(l) == t for l, t in P._twists.items())
 
 
+@st.composite
+def equal_braids(draw, strands):
+    """Two words of one braid on >= 3 strands, u s_i s_j v and u s_j s_i v with |i - j| >= 2, or
+    u s_i s_(i+1) s_i v and u s_(i+1) s_i s_(i+1) v; free reduction cannot make them one word."""
+    u, v = draw(braids(strands, 3)), draw(braids(strands, 3))
+    i = draw(st.integers(1, strands - 2))
+    if i + 2 <= strands - 1 and draw(st.booleans()):
+        j = draw(st.integers(i + 2, strands - 1))
+        lhs, rhs = (i, j), (j, i)
+    else:
+        lhs, rhs = (i, i + 1, i), (i + 1, i, i + 1)
+    return u * Braid(strands, lhs) * v, u * Braid(strands, rhs) * v
+
+
+@LAWS
+@given(st.data())
+def test_equal_values_hash_alike_however_built(data):
+    # each hash reads only what its equality compares, so values that are equal but
+    # built from other letters, signs or presentations are one element of a set
+    model = data.draw(models())
+    P = Pencil(model, [data.draw(cycles(model)) for _ in range(data.draw(st.integers(3, 4)))])
+    b1, b2 = data.draw(equal_braids(P.r))
+    u = data.draw(free_words(P.r, 4))
+    c, g = data.draw(cycles(model)), data.draw(elements(model))
+    base = data.draw(st.integers(1, P.r - 1))
+    assert b1.letters != b2.letters
+    pairs = [
+        (b1, b2),
+        (artin_apply(b1, u), artin_apply(b2, u)),
+        (Arc(base, b1), Arc(base, b2)),
+        (Automorphism(b1, g), Automorphism(b2, g)),
+        (hurwitz_apply(b1, P), hurwitz_apply(b2, P)),
+    ]
+    if model.kind == "disc":
+        # c is pushed by act, so it carries a presentation; the rebuilt word carries none unless round
+        pairs.append((c, Cycle(model, word=c.word)))
+        if model.punctures >= 3:
+            pairs.append(tuple(FiberElement(model, braid=b) for b in data.draw(equal_braids(model.punctures))))
+    else:
+        pairs.append((c, Cycle(model, vector=[-x for x in c.vector])))
+        pairs.append((g, g * dehn_twist(c) * dehn_twist(c).inverse()))
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+
+
+def test_equality_separates_what_the_hashes_leave_out():
+    # the hashes leave out a word's rank, a cycle's or element's model and a pencil's fiber,
+    # each implied by the content or compared by equality apart
+    torus, sp1 = FiberModel("torus"), FiberModel("sp", genus=1)
+    a, b = Cycle(torus, vector=(1, 0)), Cycle(sp1, vector=(1, 0))
+    pairs = [
+        (Braid(3), Braid(4)),
+        (FreeWord(2, (1,)), FreeWord(3, (1,))),
+        (a, b),
+        (FiberElement.identity(torus), FiberElement.identity(sp1)),
+        (Pencil(torus, [a]), Pencil(sp1, [b])),
+    ]
+    for x, y in pairs:
+        assert x != y and y != x
+        assert len({x, y}) == 2
+
+
 def automorphism_to_json(A):
     """The automorphism file document of A, as automorphism_from_json reads it."""
     return {"braid": braid_to_str(A.b), "fiber_element": element_to_json(A.g)}
@@ -595,6 +658,11 @@ BOUNDARY = {
     "braid-letter-cancelled": (lambda: braid_from_str(3, "s3 S3"), ValueError, "invalid braid letter 3 " + LETTERS),
     "arc-base-range": (lambda: Arc(3, Braid(3)), ValueError, "arc base 3 out of range for 3 strands"),
     "arc-base-zero": (lambda: Arc(0, Braid(3)), ValueError, "arc base 0 out of range for 3 strands"),
+    "disc-cycle-word-rank": (
+        lambda: Cycle(FiberModel("disc", punctures=3), word=FreeWord(2, (1,))),
+        ValueError,
+        "disc cycle word over wrong puncture count",
+    ),
     "free-mul": (lambda: FreeWord(2) * FreeWord(3), RankMismatch, "free words over different ranks: 2 vs 3"),
     "braid-mul": (lambda: Braid(2) * Braid(3), RankMismatch, "braids on different strand counts: 2 vs 3"),
     "artin-apply": (lambda: artin_apply(Braid(3), FreeWord(2)), RankMismatch, "braid on 3 strands cannot act on F_2"),

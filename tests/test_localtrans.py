@@ -376,6 +376,17 @@ def test_find_good_w0_failure_reports():
         find_good_w0(inst, graph_resolution=81, w_resolution=41, verify_resolution=81)
 
 
+@pytest.mark.parametrize("grid", ["graph", "verify"])
+@pytest.mark.parametrize("res", [1, 2])
+def test_find_good_w0_rejects_an_empty_grid(grid, res):
+    # an empty verify grid has margin inf, and an empty graph grid no near-critical image,
+    # so either would certify the whole w-disc
+    assert ball_grid(1.0, res).size == ball_grid(1.1, res).size == 0 < ball_grid(1.0, 3).size
+    inst = LocalTransInstance(normalized([-0.25, 0, 1.0]), CPoly([0.5]), 0.5, 0.1, 2)
+    with pytest.raises(ValueError, match="^the %s grid at resolution %d has no points in the disc$" % (grid, res)):
+        find_good_w0(inst, **{grid + "_resolution": res})
+
+
 def test_find_good_w0_margin_failure_names_both_sides(monkeypatch):
     # with no neighborhood every image is clear, so w0 is the first disc point -0.1;
     # p - w0 = z^2 then has its critical zero at z = 0, where |s| and |ds/dz| both vanish
