@@ -8,7 +8,6 @@ from .morse import (
     CriticalPoint,
     DeformedMorse,
     MorseModel,
-    QuadraticBackground,
     deform_fd_check,
     deform_grid,
     verify_deform_bounds,

@@ -37,7 +37,7 @@ open, and give the bits the all-pairs distance would.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -101,27 +101,23 @@ def sigma_of(delta, pexp):
     return delta * math.log(1.0 / delta) ** (-pexp)
 
 
-@dataclass(frozen=True)
-class LocalTransInstance:
-    p: CPoly
-    q: CPoly
-    kappa: float
-    delta: float
-    pexp: int
+class LocalTransInstance(namedtuple("LocalTransInstance", "p q kappa delta pexp")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.kappa < 1.0:
+    def __new__(cls, p, q, kappa, delta, pexp):
+        if not 0.0 < kappa < 1.0:
             raise ValueError("kappa must be in (0, 1)")
-        if not 0.0 < self.delta < 0.5:
+        if not 0.0 < delta < 0.5:
             raise ValueError("delta must be in (0, 1/2)")
-        if self.pexp < 1:
+        if pexp < 1:
             raise ValueError("pexp must be a positive integer")
         try:
-            sigma = sigma_of(self.delta, self.pexp)
+            sigma = sigma_of(delta, pexp)
         except OverflowError:  # pexp or the power beyond a float
             sigma = 0.0
         if not sigma > 0.0:
-            raise ValueError("sigma = delta (log 1/delta)^-pexp is not a positive float at delta = %g" % self.delta)
+            raise ValueError("sigma = delta (log 1/delta)^-pexp is not a positive float at delta = %g" % delta)
+        return super().__new__(cls, p, q, kappa, delta, pexp)
 
     @property
     def sigma(self):
@@ -194,18 +190,15 @@ def eta_transverse_check(f, df, grid, eta):
     return eta_margin(np.abs(f(grid)), np.abs(df(grid))) >= eta
 
 
-@dataclass(frozen=True)
-class TransversalityCertificate:
-    w0: complex
-    margin: float
-    sigma: float
-    clearance_area: float
-    clearance_claim: float
-    grid: dict = field(compare=False)
+class TransversalityCertificate(
+    namedtuple("TransversalityCertificate", "w0 margin sigma clearance_area clearance_claim grid")
+):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.margin < self.sigma:
-            raise ValueError("certificate margin %g below sigma %g" % (self.margin, self.sigma))
+    def __new__(cls, w0, margin, sigma, clearance_area, clearance_claim, grid):
+        if margin < sigma:
+            raise ValueError("certificate margin %g below sigma %g" % (margin, sigma))
+        return super().__new__(cls, w0, margin, sigma, clearance_area, clearance_claim, grid)
 
     @property
     def area_claim_ok(self):
@@ -367,9 +360,9 @@ def find_good_w0(inst, graph_resolution=201, w_resolution=201, verify_resolution
     that image.  The returned certificate is validated by a brute-force
     transversality check at eta = sigma over the unit disc; one automatic
     2x refinement is attempted before failing with the refined pass's reason.
-    A graph or verify grid with no points in its disc would certify nothing: ValueError.
+    A graph, w or verify grid with no points in its disc would certify nothing: ValueError.
     """
-    for name, res in (("graph", graph_resolution), ("verify", verify_resolution)):
+    for name, res in (("graph", graph_resolution), ("w", w_resolution), ("verify", verify_resolution)):
         if res < 3:  # the square grid's points are then its corners, if any, all outside the disc
             raise ValueError("the %s grid at resolution %d has no points in the disc" % (name, res))
     spec = (graph_resolution, w_resolution, verify_resolution)

@@ -11,7 +11,9 @@ each rescaled ball of radius sqrt(k) c0 by
 with l a cutoff profile (see cutoff.py).  Since l = 1 on the outer shell
 the two definitions agree there, and on the flat core l = k^(1/4) turns
 the shallow rescaled well back into the unit-size quadratic
-sqrt(k) c_j + sum(sign_i y_i^2).
+sqrt(k) c_j + sum(sign_i y_i^2).  Outside every ball h = f_k, where
+f is the quadratic of MorseModel.background, a CriticalPoint (None leaves
+f undefined there).
 
 DeformedMorse.jets gives the value, gradient, Hessian and third derivative
 in the rescaled metric, at a point or at each row of an (N, n) stack.  As
@@ -26,7 +28,7 @@ with constants that a sweep over k checks for scale stability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 import numpy as np
@@ -36,11 +38,10 @@ from .localtrans import BLOCK_ENTRIES, eta_margin
 CORE_RADII, OUTER_RADII = 24, 12  # deform_grid's radii on the flat core and where l = 1
 
 
-@dataclass(frozen=True)
-class CriticalPoint:
-    center: tuple  # base-metric coordinates
-    value: float
-    signs: tuple   # +1 / -1 per coordinate
+class CriticalPoint(namedtuple("CriticalPoint", "center value signs")):
+    """center: base-metric coordinates; value: f there; signs: +1 / -1 per coordinate."""
+
+    __slots__ = ()
 
 
 def _rows(v, k):
@@ -72,29 +73,21 @@ def _quadratic_jets(c, signs, y):
     return c + ((y * y)[:, None, :] @ signs)[:, 0], 2.0 * signs * y, hess, np.zeros((N, n, n, n))
 
 
-@dataclass(frozen=True)
-class QuadraticBackground:
-    """Global quadratic extension c + sum(sign_i (x - p)_i^2) of one well."""
+class MorseModel(namedtuple("MorseModel", "n crits background", defaults=(None,))):
+    """Critical-point data in dimension n.  background is the CriticalPoint
+    whose quadratic c + sum(sign_i (x - p)_i^2) extends over the far region
+    outside every critical ball, or None where f is not defined there."""
 
-    crit: CriticalPoint
+    __slots__ = ()
 
-    def jets(self, xb):
-        y = np.asarray(xb, dtype=float) - np.asarray(self.crit.center, dtype=float)
-        return _quadratic_jets(self.crit.value, np.asarray(self.crit.signs, dtype=float), y)
-
-
-class MorseModel:
-    """Critical-point data plus a background for the far region."""
-
-    def __init__(self, n, crits, background=None):
-        self.n = n
-        self.crits = list(crits)
-        for c in self.crits:
+    def __new__(cls, n, crits, background=None):
+        crits = tuple(crits)
+        for c in crits + (() if background is None else (background,)):
             if len(c.center) != n or len(c.signs) != n:
                 raise ValueError("critical point data does not match dimension")
             if any(s not in (-1, 1) for s in c.signs):
                 raise ValueError("signs must be +-1")
-        self.background = background
+        return super().__new__(cls, n, crits, background)
 
     @classmethod
     def quadratic(cls, n, value=0.0, signs=None, center=None):
@@ -102,22 +95,19 @@ class MorseModel:
         signs = tuple(signs) if signs is not None else tuple((-1) ** i for i in range(n))
         center = tuple(center) if center is not None else (0.0,) * n
         crit = CriticalPoint(center, float(value), signs)
-        return cls(n, [crit], background=QuadraticBackground(crit))
-
-    def check_separation(self, c0):
-        for a, b in combinations(self.crits, 2):
-            d = np.linalg.norm(np.asarray(a.center) - np.asarray(b.center))
-            if d <= 2.0 * c0:
-                raise ValueError(
-                    "critical points at distance %g violate the > 2 c0 = %g separation" % (d, 2.0 * c0)
-                )
+        return cls(n, [crit], background=crit)
 
 
 class DeformedMorse:
     """Closed-form jets of the deformed function in rescaled coordinates."""
 
     def __init__(self, model, profile):
-        model.check_separation(profile.c0)
+        for a, b in combinations(model.crits, 2):
+            d = np.linalg.norm(np.asarray(a.center) - np.asarray(b.center))
+            if d <= 2.0 * profile.c0:
+                raise ValueError(
+                    "critical points at distance %g violate the > 2 c0 = %g separation" % (d, 2.0 * profile.c0)
+                )
         self.model = model
         self.profile = profile
         self.k = profile.k
@@ -143,9 +133,11 @@ class DeformedMorse:
             parts.append((core, _quadratic_jets(base, signs, y[core])))
             parts.append((ring, self._ring_jets(base, signs, y[ring], t[ring])))
         if left.any():
-            if self.model.background is None:
+            far = self.model.background
+            if far is None:
                 raise ValueError("point outside every critical ball and no background given")
-            v, g, h, t3 = self.model.background.jets(xs[left] / self.sqrt_k)
+            y = xs[left] / self.sqrt_k - np.asarray(far.center, dtype=float)
+            v, g, h, t3 = _quadratic_jets(far.value, np.asarray(far.signs, dtype=float), y)
             parts.append((left, (self.sqrt_k * v, g, h / self.sqrt_k, t3 / self.k)))
         for rows, jets in parts:
             for o, j in zip(out, jets):

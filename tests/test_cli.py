@@ -487,8 +487,8 @@ def test_console_entry_point():
 
 def test_pencil_subcommands_run_without_numpy():
     # every pencil subcommand on the data pencils, then one verify subcommand, in one new
-    # process; prints the exit codes and which of numpy, dataclasses and inspect were loaded
-    # before the verify call
+    # process; prints the exit codes, which of numpy, dataclasses and inspect were loaded
+    # before the verify call, and whether dataclasses was loaded after it
     script = """
 import contextlib, io, json, os, sys
 import lefpen
@@ -506,7 +506,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [lefpen.cli.main(argv) for argv in runs]
     loaded = [m for m in ("numpy", "dataclasses", "inspect") if m in sys.modules]
     radial = lefpen.cli.main(["verify", "radial", "--samples", "5"])
-print(json.dumps({"codes": codes, "loaded": loaded, "radial": radial}))
+after = "dataclasses" in sys.modules
+print(json.dumps({"codes": codes, "loaded": loaded, "radial": radial, "verify_dataclasses": after}))
 """
     proc = run_fresh("-c", script, DATA)
     assert proc.returncode == 0, proc.stderr
@@ -514,6 +515,7 @@ print(json.dumps({"codes": codes, "loaded": loaded, "radial": radial}))
     assert result["codes"] == [1] + [1, 0, 0] * 3  # no data pencil is closed; s1 is not in Gamma
     assert result["loaded"] == []
     assert result["radial"] == 0
+    assert not result["verify_dataclasses"]  # numpy loads inspect, but neither layer loads dataclasses
 
 
 @pytest.mark.parametrize(

@@ -376,12 +376,13 @@ def test_find_good_w0_failure_reports():
         find_good_w0(inst, graph_resolution=81, w_resolution=41, verify_resolution=81)
 
 
-@pytest.mark.parametrize("grid", ["graph", "verify"])
-@pytest.mark.parametrize("res", [1, 2])
+@pytest.mark.parametrize("grid", ["graph", "verify", "w"])
+@pytest.mark.parametrize("res", [1, 2, 0, -1])
 def test_find_good_w0_rejects_an_empty_grid(grid, res):
     # an empty verify grid has margin inf, and an empty graph grid no near-critical image,
-    # so either would certify the whole w-disc
-    assert ball_grid(1.0, res).size == ball_grid(1.1, res).size == 0 < ball_grid(1.0, 3).size
+    # so either would certify the whole w-disc; an empty w grid has no w0 to pick
+    for radius in (1.0, 1.1, 0.1):  # the verify, graph and w discs
+        assert ball_grid(radius, max(res, 0)).size == 0 < ball_grid(radius, 3).size
     inst = LocalTransInstance(normalized([-0.25, 0, 1.0]), CPoly([0.5]), 0.5, 0.1, 2)
     with pytest.raises(ValueError, match="^the %s grid at resolution %d has no points in the disc$" % (grid, res)):
         find_good_w0(inst, **{grid + "_resolution": res})

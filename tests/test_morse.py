@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lefpen.transversal.cutoff import build_cutoff
-from lefpen.transversal.localtrans import eta_margin
+from lefpen.transversal.localtrans import CPoly, LocalTransInstance, TransversalityCertificate, eta_margin
 from lefpen.transversal.morse import (
     BLOCK_ENTRIES,
     FD_SAMPLES,
@@ -12,7 +12,7 @@ from lefpen.transversal.morse import (
     CriticalPoint,
     DeformedMorse,
     MorseModel,
-    QuadraticBackground,
+    _quadratic_jets,
     deform_fd_check,
     deform_grid,
     verify_deform_bounds,
@@ -425,15 +425,46 @@ def test_outside_without_background_errors():
         h.jets([2 * h.ball_radius, 0.0])
 
 
+SADDLE = CriticalPoint((0.0, 0.0), 0.0, (1, -1))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: MorseModel(2, [CriticalPoint((0.0,), 0.0, (1, -1))]), "critical point data does not match dimension"),
+        (lambda: MorseModel(2, [CriticalPoint((0.0, 0.0), 0.0, (1,))]), "critical point data does not match dimension"),
+        (lambda: MorseModel(2, [CriticalPoint((0.0, 0.0), 0.0, (1, 0))]), "signs must be +-1"),
+        (
+            lambda: MorseModel(2, [SADDLE], background=CriticalPoint((0.0,) * 3, 0.0, (1, 1, 1))),
+            "critical point data does not match dimension",
+        ),
+        (lambda: LocalTransInstance(CPoly([0.5]), CPoly([0.0]), 0.2, 0.1, 0), "pexp must be a positive integer"),
+        (
+            lambda: LocalTransInstance(CPoly([0.5]), CPoly([0.0]), 0.2, 0.1, 10**6),  # sigma underflows to 0
+            "sigma = delta (log 1/delta)^-pexp is not a positive float at delta = 0.1",
+        ),
+        (
+            lambda: TransversalityCertificate(0j, 0.01, 0.02, 1.0, 0.5, {}),
+            "certificate margin 0.01 below sigma 0.02",
+        ),
+    ],
+    ids=["center", "signs", "zero-sign", "background", "pexp", "sigma-underflow", "certificate-margin"],
+)
+def test_numerical_records_check_their_fields(build, message):
+    with pytest.raises(ValueError) as failure:
+        build()
+    assert str(failure.value) == message
+
+
 def test_eta_observed_transversality():
     # h(x) = |x|^2: gradient small only near 0 where the Hessian is 2 Id
     model = MorseModel.quadratic(2, value=0.0, signs=(1, 1))
-    quad = QuadraticBackground(model.crits[0])
+    far = model.background
 
     class Plain:
         def jets(self, x):
-            v, g, hess, t3 = quad.jets(x)
-            return v, g, hess, t3
+            y = np.asarray(x, dtype=float) - np.asarray(far.center, dtype=float)
+            return _quadratic_jets(far.value, np.asarray(far.signs, dtype=float), y)
 
     pts = [np.array([r * np.cos(a), r * np.sin(a)]) for r in (0.0, 0.3, 0.9) for a in (0.0, 1.0, 2.5)]
     eta = verify_deform_bounds(Plain(), pts)["etaObserved"]
