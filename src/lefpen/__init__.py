@@ -44,7 +44,6 @@ from .pencil import (
     automorphism_from_arc,
     base_twist_automorphism,
     classify_arc,
-    dual_singularity_braid,
     enumerate_arcs,
     enumerate_matching_arcs,
     hurwitz_apply,

@@ -18,7 +18,7 @@ computable proxies:
 Cycles are unoriented: homology vectors are kept up to global sign, disc
 words up to rotation and inversion.
 
-Input is validated only by the public ``Cycle``/``FiberElement``
+Input is validated only by the public ``FiberModel``/``Cycle``/``FiberElement``
 constructors and the JSON loaders built on them.  The algebra's results
 (products, inverses, twists, ``act``) are valid by construction and are
 built without checks through ``words._new``, the one unchecked constructor
@@ -31,7 +31,7 @@ from collections import namedtuple
 from math import gcd
 
 from .words import (
-    Braid, FreeWord, _is_integer, _new, _peel, artin_apply, braid_from_str, half_twist, word_from_str, word_to_str
+    Braid, FreeWord, _integers, _new, _peel, artin_apply, braid_from_str, half_twist, word_from_str, word_to_str
 )
 
 EXACT = "exact"
@@ -56,6 +56,12 @@ class FiberModel(namedtuple("FiberModel", "kind genus punctures")):
     def __new__(cls, kind, genus=0, punctures=0):
         if kind not in (TORUS, SP, DISC):
             raise ValueError("unknown fiber model %r" % (kind,))
+        (genus,) = _integers([genus], "fiber 'genus'")
+        (punctures,) = _integers([punctures], "fiber 'punctures'")
+        if kind != SP and genus:
+            raise ValueError("%s model has no genus, got %d" % (kind, genus))
+        if kind != DISC and punctures:
+            raise ValueError("%s model has no punctures, got %d" % (kind, punctures))
         if kind == SP and genus < 1:
             raise ValueError("sp model needs genus >= 1")
         if kind == DISC and punctures < 2:
@@ -83,16 +89,6 @@ def symplectic_pairing(u, v):
     for i in range(0, len(u), 2):
         s += u[i] * v[i + 1] - u[i + 1] * v[i]
     return s
-
-
-def _integers(values, what):
-    """values as a tuple of ints; ValueError for any entry that is not an
-    integer (a float or a bool included, so nothing is truncated)."""
-    values = tuple(values)
-    for x in values:
-        if not _is_integer(x):
-            raise ValueError("%s must be an integer, got %r" % (what, x))
-    return tuple(map(int, values))
 
 
 def _normalize_sign(vec):
@@ -213,8 +209,8 @@ def _as_range(letters):
 
 
 def standard_curve(model, i, j):
-    """The round curve enclosing punctures i..j of a disc fiber.  Only tests
-    call it, tests/test_fiber.py::test_disc_dehn_twist_range_curves among them."""
+    """The round curve enclosing punctures i..j of a disc fiber.  dehn_twist
+    twists about it and its images under act, as its UnsupportedCycle says."""
     if model.kind != DISC:
         raise ModelMismatch("standard_curve lives in the disc model")
     if not 1 <= i <= j <= model.punctures:
@@ -407,8 +403,7 @@ def model_from_json(doc):
         field = "genus" if kind == SP else "punctures"
         if field not in doc:
             raise ValueError("%s fiber needs an integer %r" % (kind, field))
-        (size,) = _integers([doc[field]], "fiber %r" % field)
-        return FiberModel(kind, **{field: size})
+        return FiberModel(kind, **{field: doc[field]})
     raise ValueError("unknown fiber model %r" % (kind,))
 
 

@@ -40,7 +40,7 @@ and an arc whose S' crosses a base-point arc delta once, with S'' the
 half-twist image of S', gives the mixed element (half-twist, tau_delta).
 These are exactly the braid monodromies of a tangency, a node and a cusp
 of the dual curve of a plane projection, plus the tangency-with-base-locus
-case; see dual_singularity_braid.
+case; see SINGULARITIES.
 """
 
 from __future__ import annotations
@@ -338,8 +338,7 @@ def base_twist_automorphism(a, d, P):
     range curve); (ii) S'' is the image of S' under the base half-twist.
     The construction also verifies that twisting twice along delta and
     once about S'' returns S' to itself (the four-punctured-sphere
-    relation behind the hypothesis), then asserts membership.  Only tests call
-    it: tests/test_acceptance.py::test_criterion_4_lantern_and_base_twist and others.
+    relation behind the hypothesis), then asserts membership.
     """
     if P.fiber.kind != DISC:
         raise ModelMismatch("base twists need a disc fiber")
@@ -369,18 +368,6 @@ def base_twist_automorphism(a, d, P):
         # inverse fiber twist under this library's composition convention.
         raise HypothesisError("membership", "stabilizer check failed: %r" % (detail,))
     return A
-
-
-def dual_singularity_braid(kind, a):
-    """Local braid monodromy of a dual-curve singularity around the arc.
-
-    node -> half-twist squared, cusp -> cubed, tangency -> the half-twist, as
-    in SINGULARITIES.  Only tests call it: tests/test_pencil.py::test_dual_singularity_braid
-    and tests/test_pencil.py::test_singularity_table_matches_automorphisms.
-    """
-    if kind not in SINGULARITIES:
-        raise ValueError("unknown singularity kind %r" % (kind,))
-    return half_twist(a) ** SINGULARITIES[kind][1]
 
 
 # --- enumeration and orbits ----------------------------------------------

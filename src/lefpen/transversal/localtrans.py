@@ -10,7 +10,8 @@ a graph over that disc.  Where the z-derivative l(z) = p'(z) - conj(w) q'(z)
 along the graph is small, the graph's image marks the dangerous values of
 w; a good w0 stays sigma-clear of a C sigma-neighborhood of that image
 and then s(., w0) is sigma-transverse to zero over the unit disc in C,
-which a brute-force grid check certifies directly.  The quantitative
+which a brute-force check certifies on the points of the verify grid: the
+margin is sampled, not a bound on the continuum.  The quantitative
 scale is sigma = delta (log(1/delta))^(-p) with |w0| < delta.
 
 Everything here is desk scale: square grids, a numpy labelling of the
@@ -123,18 +124,6 @@ class LocalTransInstance(namedtuple("LocalTransInstance", "p q kappa delta pexp"
     def sigma(self):
         return sigma_of(self.delta, self.pexp)
 
-    def validate(self):
-        """Check the sampled sup bounds on the disc of radius 11/10.
-        Only tests/test_localtrans.py::test_instance_invariants calls it."""
-        z = ball_grid(1.1, SUP_RESOLUTION)
-        sup_p = float(np.max(np.abs(self.p(z))))
-        sup_q = float(np.max(np.abs(self.q(z))))
-        if sup_p > 1.0 + 1e-12:
-            raise ValueError("sampled sup |p| = %g exceeds 1" % sup_p)
-        if sup_q > 1.0 - self.kappa + 1e-12:
-            raise ValueError("sampled sup |q| = %g exceeds 1 - kappa" % sup_q)
-        return {"sup_p": sup_p, "sup_q": sup_q}
-
 
 def solve_w_residual(p, q, z):
     """max |s(z, w(z))| over the given points."""
@@ -184,8 +173,8 @@ def eta_transverse_check(f, df, grid, eta):
     True iff every grid point with |f| < eta has derivative with a right
     inverse of norm at most 1/eta; for a holomorphic function on the unit
     disc in C that means |f'| >= eta.  (Non-strict, so the identity map is
-    1-transverse.)  The program reads the blocked margin of _verify; only
-    tests/test_localtrans.py::test_eta_transverse_check_examples calls it.
+    1-transverse.)  find_good_w0 and reverify read the blocked margin of
+    _verify instead.
     """
     return eta_margin(np.abs(f(grid)), np.abs(df(grid))) >= eta
 

@@ -11,7 +11,9 @@ group rather than through a normal form: two braid words are equal iff
 they act identically on the generators ``x_1 .. x_r``.  This keeps every
 downstream identity exact at desk scale.  A braid's images of ``x_1 .. x_r``
 fold ``_step`` over its letters, once per braid, as the arc enumerator folds
-it down its carrier tree; pairs, Hurwitz moves and stabilizer checks read them.
+it down its carrier tree.  They back equality and hashing, supporting pairs
+and arc keys; a failed stabilizer check reads them only to name the moved
+word.
 
 Convention.  The positive generator ``s_i`` acts by
 
@@ -31,9 +33,10 @@ Serialization: braid words are space-separated tokens ``s<i>`` / ``S<i>``
 (inverse), free words ``x<i>`` / ``X<i>``, ``<i>`` in ASCII digits.  The
 empty word serializes to the empty string.
 
-Only the public ``FreeWord``/``Braid`` constructors and ``*_from_str`` check
-input.  Words the algebra derives are reduced and in range by construction
-and are built by ``_new``, the exact layer's one unchecked constructor.
+Only the public ``FreeWord``/``Braid``/``Arc`` constructors and ``*_from_str``
+check input, sizes included.  Words the algebra derives are reduced and in
+range by construction and are built by ``_new``, the exact layer's one
+unchecked constructor.
 """
 
 from __future__ import annotations
@@ -84,6 +87,16 @@ def _is_integer(x):
     return type(x) is int or (isinstance(x, numbers.Integral) and not isinstance(x, bool))
 
 
+def _integers(values, what):
+    """values as a tuple of ints; ValueError for any entry that is not an
+    integer (a float or a bool included, so nothing is truncated)."""
+    values = tuple(values)
+    for x in values:
+        if not _is_integer(x):
+            raise ValueError("%s must be an integer, got %r" % (what, x))
+    return tuple(map(int, values))
+
+
 def _int_letters(letters, bound, what):
     """The raw letters as ints, each checked before reduction so that no bad letter cancels unseen."""
     letters = tuple(letters)
@@ -102,6 +115,7 @@ class FreeWord:
     __slots__ = ("rank", "letters")
 
     def __init__(self, rank, letters=()):
+        (rank,) = _integers([rank], "rank")
         if rank < 1:
             raise ValueError("rank must be positive")
         letters = _reduce(_int_letters(letters, rank, "free word"))
@@ -164,6 +178,7 @@ class Braid:
     __slots__ = ("strands", "letters", "_action")
 
     def __init__(self, strands, letters=()):
+        (strands,) = _integers([strands], "strand count")
         if strands < 1:
             raise ValueError("strand count must be positive")
         letters = tuple(letters)
@@ -196,12 +211,6 @@ class Braid:
         if self._action is None:
             self._action = reduce(_step, self.letters, tuple((i,) for i in range(1, self.strands + 1)))
         return self._action
-
-    def action(self):
-        """Images (phi(x_1), .., phi(x_r)) of the generators, as words.  Only tests call it,
-        tests/test_exact_laws.py::test_one_step_composes_the_action and
-        tests/test_pencil.py::test_enumerate_arcs_reads_actions_off_the_carrier_tree among them."""
-        return tuple(_new(FreeWord, rank=self.strands, letters=u) for u in self._images())
 
     def __eq__(self, other):
         if not isinstance(other, Braid):
@@ -270,6 +279,7 @@ class Arc(namedtuple("Arc", "base carrier")):
     __slots__ = ()
 
     def __new__(cls, base, carrier):
+        (base,) = _integers([base], "arc base")
         if not 1 <= base <= carrier.strands - 1:
             raise ValueError("arc base %d out of range for %d strands" % (base, carrier.strands))
         return super().__new__(cls, base, carrier)

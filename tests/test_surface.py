@@ -1,27 +1,43 @@
 """The public surface carries no dead names.
 
-Every name that ``lefpen/__init__.py`` or ``lefpen/transversal/__init__.py``
-exports, and every public function defined at module level anywhere in
-``src/lefpen``, exported or not, is either referenced by the program (the
-source outside the ``__init__`` files, read as an AST, or by text the
-benchmark scripts and the README's library example), or its docstring
-names, as ``tests/<file>.py::<test>``, the tests that are its only
-callers.  Each test a docstring names calls what names it, for those
-functions, the exports and the public methods of the exported classes
-alike.
+A public name is an export of ``lefpen`` or ``lefpen.transversal``, a
+public function defined at module level anywhere in ``src/lefpen``, or a
+public method or property of an exported class.  Each one is reached by
+the program or listed in EXCEPTIONS with its reason.  The program is read
+as code, never as text:
+
+* the source outside the ``__init__`` files: the names it loads and the
+  attributes it reads;
+* the README's library example and the scripts under ``perfbench/``: the
+  names they import and the attributes they read;
+* the qualnames that the traced benchmark run wraps, ``layers.SPANS``.
+
+A module-level name is reached by a name or an attribute, a method or a
+property by an attribute; a comment, a string or a local variable of the
+same spelling reaches nothing.
 """
 
 import ast
-import importlib
 import inspect
-import re
+import sys
 from pathlib import Path
 
 import lefpen
 import lefpen.transversal
 
 ROOT = Path(__file__).resolve().parent.parent
-NAMED_TEST = re.compile(r"tests/(test_\w+)\.py::(test_\w+)")
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import layers  # noqa: E402
+
+EXCEPTIONS = {
+    "base_twist_automorphism": "criterion 4 checks the paper's mixed automorphism, which no report reaches",
+    "standard_curve": "dehn_twist's UnsupportedCycle message tells library users to call it",
+}
+
+# reached only because the traced benchmark run wraps them; the next change
+# to the benchmark drops those spans, and these names with them
+SPANS_ONLY = {"vanishing_label", "eta_transverse_check", "CutoffProfile.d1", "CutoffProfile.d2", "CutoffProfile.d3"}
 
 
 def exports(package):
@@ -29,79 +45,75 @@ def exports(package):
     return [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
 
 
-def source_references():
-    """Names loaded, and attributes read, anywhere in src/lefpen outside the __init__ files."""
+def public_names():
+    """'name' for each export and public module-level function, 'Class.name' for each
+    public method or property of an exported class."""
     names = set()
+    for package in (lefpen, lefpen.transversal):
+        for name in exports(package):
+            names.add(name)
+            obj = getattr(package, name)
+            if inspect.isclass(obj):
+                names |= {
+                    "%s.%s" % (name, member)
+                    for member, value in vars(obj).items()
+                    if not member.startswith("_") and (inspect.isroutine(value) or isinstance(value, property))
+                }
     for path in (ROOT / "src" / "lefpen").rglob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
+        names |= {
+            node.name
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        }
     return names
 
 
-def library_text():
-    """The README's library example and the benchmark scripts."""
+def readme_example():
     example = (ROOT / "README.md").read_text().split("## Library example", 1)[1]
-    example = example.split("```python", 1)[1].split("```", 1)[0]
-    return example + "".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    return example.split("```python", 1)[1].split("```", 1)[0]
 
 
-def module_functions():
-    """Every public function defined at module level in src/lefpen, as (module, name)."""
-    src = ROOT / "src"
-    for path in sorted((src / "lefpen").rglob("*.py")):
-        module = importlib.import_module(".".join(path.relative_to(src).with_suffix("").parts).removesuffix(".__init__"))
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                yield module, node.name
+def attributes_read(tree):
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
-def named_tests(obj):
-    """The (file, test) pairs that obj's docstring names; each must exist."""
-    named = NAMED_TEST.findall(inspect.getdoc(obj) or "")
-    for file, test in named:
-        tree = ast.parse((ROOT / "tests" / (file + ".py")).read_text())
-        assert test in {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}, (file, test)
-    return named
+def references():
+    """(names, attributes): the names the source loads and the library code
+    imports, and the attributes either reads; SPANS aside."""
+    names, attributes = set(), set()
+    for path in (ROOT / "src" / "lefpen").rglob("*.py"):
+        if path.name != "__init__.py":
+            tree = ast.parse(path.read_text())
+            names |= {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            attributes |= attributes_read(tree)
+    for source in [readme_example()] + [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]:
+        tree = ast.parse(source)
+        names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        attributes |= attributes_read(tree)
+    return names, attributes
 
 
-def unreached(owned):
-    """'module.name' of each (module, name) in owned that neither the program nor the
-    library text references and whose docstring names no test."""
-    referenced, text = source_references(), library_text()
-    return [
-        "%s.%s" % (module.__name__, name)
-        for module, name in owned
-        if name not in referenced
-        and not re.search(r"\b%s\b" % name, text)
-        and not named_tests(getattr(module, name))
-    ]
+def unreached(spans=True):
+    """The public names that the program does not reach, counting SPANS or not."""
+    names, attributes = references()
+    wrapped = {qualname for _, _, qualname, _ in layers.SPANS} if spans else set()
+    out = set()
+    for label in public_names():
+        owner, _, name = label.rpartition(".")
+        if not (label in wrapped or name in attributes or (not owner and name in names)):
+            out.add(label)
+    return out
 
 
-def test_every_export_is_used_or_names_its_test():
-    assert unreached((p, n) for p in (lefpen, lefpen.transversal) for n in exports(p)) == []
+def test_every_public_name_is_reached_or_excepted():
+    # equality both ways: a new public name that nothing reaches fails, and so
+    # does an exception that the program comes to reach, which then leaves the dict
+    assert unreached() == set(EXCEPTIONS)
 
 
-def test_every_module_function_is_used_or_names_its_test():
-    assert unreached(module_functions()) == []
+def test_names_reached_only_by_spans():
+    assert unreached(spans=False) - unreached() == SPANS_ONLY
 
 
-def test_docstring_named_tests_call_what_names_them():
-    objects = [getattr(p, n) for p in (lefpen, lefpen.transversal) for n in exports(p)]
-    objects += [getattr(module, name) for module, name in module_functions()]
-    objects += [
-        getattr(cls, name)
-        for cls in objects
-        if inspect.isclass(cls)
-        for name in vars(cls)
-        if not name.startswith("_") and inspect.isroutine(getattr(cls, name))
-    ]
-    for obj in objects:
-        for file, test in named_tests(obj):
-            source = (ROOT / "tests" / (file + ".py")).read_text()
-            body = next(n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == test)
-            assert re.search(r"\b%s\b" % obj.__name__, ast.get_source_segment(source, body)), (obj, test)
+def test_readme_library_example_runs():
+    exec(compile(readme_example(), "README.md", "exec"), {})
