@@ -45,13 +45,24 @@ def exports(package):
     return [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
 
 
-def public_names():
-    """'name' for each export and public module-level function, 'Class.name' for each
-    public method or property of an exported class."""
+def exported_names():
+    return {name for package in (lefpen, lefpen.transversal) for name in exports(package)}
+
+
+def module_functions():
+    return {
+        node.name
+        for path in (ROOT / "src" / "lefpen").rglob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def members():
+    """'Class.name' for each public method or property of an exported class."""
     names = set()
     for package in (lefpen, lefpen.transversal):
         for name in exports(package):
-            names.add(name)
             obj = getattr(package, name)
             if inspect.isclass(obj):
                 names |= {
@@ -59,13 +70,11 @@ def public_names():
                     for member, value in vars(obj).items()
                     if not member.startswith("_") and (inspect.isroutine(value) or isinstance(value, property))
                 }
-    for path in (ROOT / "src" / "lefpen").rglob("*.py"):
-        names |= {
-            node.name
-            for node in ast.parse(path.read_text()).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-        }
     return names
+
+
+def public_names():
+    return exported_names() | module_functions() | members()
 
 
 def readme_example():
@@ -93,16 +102,28 @@ def references():
     return names, attributes
 
 
-def unreached(spans=True):
-    """The public names that the program does not reach, counting SPANS or not."""
+def unreached(labels=None, spans=True):
+    """The labels (by default every public name) that the program does not
+    reach, counting SPANS or not."""
     names, attributes = references()
     wrapped = {qualname for _, _, qualname, _ in layers.SPANS} if spans else set()
     out = set()
-    for label in public_names():
+    for label in public_names() if labels is None else labels:
         owner, _, name = label.rpartition(".")
         if not (label in wrapped or name in attributes or (not owner and name in names)):
             out.add(label)
     return out
+
+
+# the export and module-function tests narrow the whole rule to one kind of
+# name each, so a failure says which kind it is; an exception stands in each
+# kind that holds its name
+def test_every_export_is_used_or_names_its_test():
+    assert unreached(exported_names()) == set(EXCEPTIONS) & exported_names()
+
+
+def test_every_module_function_is_used_or_names_its_test():
+    assert unreached(module_functions()) == set(EXCEPTIONS) & module_functions()
 
 
 def test_every_public_name_is_reached_or_excepted():
