@@ -19,6 +19,7 @@ so the pencil subcommands start without numpy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -265,7 +266,10 @@ def cmd_verify_radial(args):
     return report, hard
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The one parser of the process, shared by every call, so no caller may
+    change it: building it costs some twenty times what a parse does."""
     parser = argparse.ArgumentParser(
         prog="lefpen",
         description="Pencil monodromy calculus and numerical verification suites",
@@ -329,8 +333,8 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        report, ok = args.func(args)
+    try:  # the handler by name at call time, so a rebound cmd_* is the one that runs
+        report, ok = globals()[args.func.__name__](args)
     except (OSError, ValueError) as e:  # bad input: a file, a document, a constructor or a flag
         return _fail(str(e))
     # outside the try, so a report that JSON cannot encode stays a program fault

@@ -30,6 +30,14 @@ points of [0, 1] to within 1e-12 (its ends sit a few ulps off 0 and 1,
 on either side), and slope_check samples every profile's corridor at
 SLOPE_SAMPLES points.  (The naive choice, a single quintic interpolating
 l itself, overshoots the corridor by ~1e-3 and is not used.)
+
+The strict upper side fails in rounding just before t_one.  The rounded
+outer ramp _S_OUTER is -4.4e-16 at u = 1 and dips below 0 (to about
+-5.6e-15) for u > 0.9999982, so on t > (1 - 6e-7) t_one the evaluated
+l'/l is positive: up to about 1.5e-16 at k = 1e3 and 4.2e-18 at k = 1e6.
+slope_check's samples stop at t_one (1 - SLOPE_PAD), short of that
+stretch, and report ok; a continuum certificate must treat the rounded
+ramp, not the ideal one.
 """
 
 from __future__ import annotations
@@ -70,12 +78,29 @@ _WEIGHTS = np.array([
 ])
 
 
+def _horner(coef, v):
+    """The polynomial with coefficients coef (lowest first) at v, by Horner's
+    rule in one fresh buffer; at finite v it rounds as numpy's polyval does."""
+    acc = np.full(np.shape(v), coef[-1])
+    for a in coef[-2::-1]:
+        np.multiply(acc, v, out=acc)
+        np.add(acc, a, out=acc)
+    return acc
+
+
 def _band_integral(poly, c, u=1.0):
-    """integral_0^u poly(v) / (c + v) dv, by Gauss-Legendre on [0, u] (u a scalar or an array)."""
+    """integral_0^u poly(v) / (c + v) dv, by Gauss-Legendre on [0, u] (u a scalar or an array).
+
+    Works in two buffers the size of the (..., 32) node stack, whatever the
+    degree.  The weights multiply before c + v divides: that order rounds
+    as sum(_WEIGHTS * poly(v) / (c + v)) does, which the reports rely on."""
     u = np.asarray(u, dtype=float)
     half = 0.5 * u[..., None]
     v = half * (_NODES + 1.0)
-    return np.sum(_WEIGHTS * poly(v) / (c + v), axis=-1) * half[..., 0]
+    p = _horner(poly.coef, v)
+    np.multiply(p, _WEIGHTS, out=p)
+    np.divide(p, np.add(v, c, out=v), out=p)
+    return np.sum(p, axis=-1) * half[..., 0]
 
 
 def _tuned_ramp(q, c, target):
@@ -87,7 +112,7 @@ def _tuned_ramp(q, c, target):
     """
     shape = _SMOOTHSTEP(Polynomial([0.0, 1.0]) ** q)
     s = shape + (target - _band_integral(shape, c)) / _band_integral(_BUMP, c) * _BUMP
-    probe = s(np.linspace(0.0, 1.0, 2001))
+    probe = _horner(s.coef, np.linspace(0.0, 1.0, 2001))
     if probe.min() < -1e-12 or probe.max() > 1.0 + 1e-12:
         raise AssertionError("the tuned ramp leaves the [0, 1] corridor")
     return s
@@ -127,21 +152,18 @@ class _Band:
         self.t_lo = t_lo
         self.w = t_hi - t_lo
         self.s = s
-        self.s1 = s.deriv()
-        self.s2 = self.s1.deriv()
+        self._s1 = s.deriv().coef
+        self._s2 = s.deriv(2).coef
         self.log_l_lo = log_l_lo
         self._c = t_lo / self.w
 
     def log_jets(self, t):
         u = (t - self.t_lo) / self.w
+        s, s1, s2 = _horner(self.s.coef, u), _horner(self._s1, u), _horner(self._s2, u)
         m = self.log_l_lo - self.beta * _band_integral(self.s, self._c, u)
-        m1 = -self.beta * self.s(u) / t
-        m2 = -self.beta * (self.s1(u) / (self.w * t) - self.s(u) / t**2)
-        m3 = -self.beta * (
-            self.s2(u) / (self.w**2 * t)
-            - 2.0 * self.s1(u) / (self.w * t**2)
-            + 2.0 * self.s(u) / t**3
-        )
+        m1 = -self.beta * s / t
+        m2 = -self.beta * (s1 / (self.w * t) - s / t**2)
+        m3 = -self.beta * (s2 / (self.w**2 * t) - 2.0 * s1 / (self.w * t**2) + 2.0 * s / t**3)
         return m, m1, m2, m3
 
 
@@ -244,8 +266,11 @@ class CutoffProfile:
     def slope_check(self):
         """Check 0 > l'/l >= -(1/2 + eps)/t on the open deformation range.
 
-        Samples log-spaced points on (D, 3 sqrt(k) c0 / 4); reports the
-        worst margins observed.
+        Samples log-spaced points on [D (1 + SLOPE_PAD), t_one (1 - SLOPE_PAD)]
+        and reports the worst margins observed.  The samples end short of
+        (t_one (1 - 6e-7), t_one), where the rounded outer ramp is below 0
+        and l'/l is positive (up to about 1.5e-16), so ok does not cover
+        that stretch.
         """
         lo = self.t_flat * (1.0 + SLOPE_PAD)
         hi = self.t_one * (1.0 - SLOPE_PAD)

@@ -233,6 +233,32 @@ def deform_fd_check(h):
     return {"samples": FD_SAMPLES, "max_rel_err": max([0.0, *err.tolist()])}  # a running max: NaN never wins
 
 
+SVD_ROWS = 64  # rows per SVD call of _eta_observed
+
+
+def _eta_observed(grads, hess):
+    """eta_margin(grads, the smallest singular value of each Hessian), with SVDs
+    only where a row can lower the margin.  max(|grad|, sigma) >= |grad|, so
+    rows are taken in ascending |grad|, SVD_ROWS at a time, up to the first
+    chunk whose smallest |grad| is at least the running margin.  Rows whose
+    |grad| or Hessian is not finite go first, so a NaN gradient still gives
+    NaN and a NaN Hessian still raises LinAlgError, as one SVD over every row
+    would; LAPACK takes each matrix on its own and min is exact, so the
+    margin is that SVD's float for float."""
+
+    def margin(rows):
+        return eta_margin(grads[rows], np.linalg.svd(hess[rows], compute_uv=False)[:, -1])
+
+    eta = margin(~(np.isfinite(grads) & np.isfinite(hess).all(axis=(1, 2))))
+    order = np.argsort(grads, kind="stable")
+    for i in range(0, len(order), SVD_ROWS):
+        rows = order[i : i + SVD_ROWS]
+        if not grads[rows[0]] < eta:  # a NaN margin stops here too
+            break
+        eta = min(eta, margin(rows))
+    return eta
+
+
 def verify_deform_bounds(h, grid):
     """Empirical bounds over a grid: max gradient, transversality constant,
     max third derivative (Frobenius norm), all in the rescaled metric, and
@@ -249,12 +275,12 @@ def verify_deform_bounds(h, grid):
         outer = g[:, :, None] * g[:, None, :]
         first = np.maximum(_row_norms(-s[:, 0] * g), _row_norms(c[:, 0] * g))
         second = np.maximum(_row_norms(-c * outer - s * hess), _row_norms(-s * outer + c * hess))
-        blocks.append((_row_norms(g), np.linalg.svd(hess, compute_uv=False)[:, -1], _row_norms(t3), first, second))
-    grads, sigmas, thirds, first, second = (np.concatenate(b) for b in zip(*blocks))
+        blocks.append((_row_norms(g), hess, _row_norms(t3), first, second))
+    grads, hess, thirds, first, second = (np.concatenate(b) for b in zip(*blocks))
     return {
         "points": int(len(grid)),
         "maxGrad": float(np.max(grads)),
-        "etaObserved": eta_margin(grads, sigmas),
+        "etaObserved": _eta_observed(grads, hess),
         "maxThird": float(np.max(thirds)),
         "circle_pair": {"max_first_derivative": float(np.max(first)), "max_second_derivative": float(np.max(second))},
     }

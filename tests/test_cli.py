@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import lefpen
-from lefpen.cli import main
+from lefpen.cli import build_parser, main
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
@@ -384,6 +384,28 @@ def test_unencodable_report_is_not_a_usage_error(monkeypatch, capsys):
     with pytest.raises(ValueError):
         main(["verify", "radial", "--samples", "1"])
     assert capsys.readouterr().out == ""
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the cached parser is reused across handlers, a usage error and an argparse exit
+    def golden(name):
+        with open(os.path.join(DATA, name)) as fh:
+            return fh.read()
+
+    assert build_parser() is build_parser()
+    assert main(["verify", "cutoff", "--k", "10000", "--D", "1"]) == 0
+    assert capsys.readouterr().out == golden("verify_cutoff_k10000_D1.json")
+    assert main(["verify", "deform", "--k", "1000", "--D", "1"]) == 0
+    assert capsys.readouterr().out == golden("verify_deform_k1000_D1.json")
+    assert main(["verify", "deform", "--k", "1e3", "--D", "1", "--n", "0"]) == 2
+    assert assert_one_error_line(capsys) == "error: --n must be a positive dimension"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "cutoff", "--k", "10000"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["pencil", "matching", os.path.join(DATA, "pencil_torus_abab.json"), "--max-len", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden("pencil_matching_torus_abab_len3.json") and captured.err == ""
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from numpy.polynomial import Polynomial
 
 from lefpen.transversal import cutoff
 from lefpen.transversal.cutoff import (
+    SLOPE_PAD,
     CutoffProfile,
     ThresholdError,
     build_cutoff,
@@ -130,3 +135,52 @@ def test_band_ordering_guard():
     # small k with large D / c0 would invert the band ordering
     with pytest.raises(ThresholdError):
         CutoffProfile(1.0, 0.3, 1.0)
+
+
+def band_integral_reference(poly, c, u=1.0):
+    """_band_integral as numpy's polyval on the whole node stack, before Horner's rule in one buffer."""
+    u = np.asarray(u, dtype=float)
+    half = 0.5 * u[..., None]
+    v = half * (cutoff._NODES + 1.0)
+    return np.sum(cutoff._WEIGHTS * poly(v) / (c + v), axis=-1) * half[..., 0]
+
+
+# the three ramps, the bump and the warped smoothstep of every warp the ramps were chosen from
+RAMPS = [cutoff._S_INNER, cutoff._S_OUTER, cutoff._BUMP] + [
+    cutoff._SMOOTHSTEP(Polynomial([0.0, 1.0]) ** q) for q in range(1, 9)
+]
+EDGES = [0.0, 1.0, np.nextafter(1.0, 0.0), 5e-324]
+UNIT = st.one_of(st.sampled_from(EDGES), st.floats(0.0, 1.0))
+
+
+@given(
+    st.sampled_from(range(len(RAMPS))),
+    st.one_of(st.sampled_from([1.0, 2.0]), st.floats(1.0, 100.0)),
+    st.one_of(UNIT, arrays(float, st.integers(0, 40), elements=UNIT)),
+)
+@example(1, 2.0, np.array(EDGES))
+@example(0, 1.0, 1.0)
+def test_band_integral_equals_the_polyval_reference(ramp, c, u):
+    assert np.array_equal(cutoff._band_integral(RAMPS[ramp], c, u), band_integral_reference(RAMPS[ramp], c, u))
+
+
+@given(st.sampled_from(range(len(RAMPS))), arrays(float, st.integers(0, 40), elements=UNIT))
+def test_horner_equals_polyval_on_ramps_and_their_derivatives(ramp, u):
+    # _Band.log_jets evaluates s, s' and s'' with _horner
+    for d in range(3):
+        poly = RAMPS[ramp].deriv(d)
+        assert np.array_equal(cutoff._horner(poly.coef, u), poly(u))
+
+
+@pytest.mark.parametrize("k", [1e3, 1e6])
+def test_slope_check_stops_short_of_the_rounded_outer_ramps_sign_change(k):
+    # the rounded _S_OUTER is below 0 just before u = 1, so l'/l > 0 just before t_one,
+    # and only after the last slope_check sample
+    assert cutoff._S_OUTER(1.0) < 0.0
+    p = build_cutoff(k, 1.0, 1.0)
+    t = p.t_one * (1.0 - np.geomspace(1e-16, 1e-5, 20_000))
+    l, l1 = p.jets(t)[:2]
+    positive = t[l1 / l > 0.0]
+    assert len(positive) and positive.min() > p.t_one * (1.0 - 6e-7) > p.t_one * (1.0 - SLOPE_PAD)
+    assert np.max(l1 / l) < 2e-16
+    assert p.slope_check()["ok"]

@@ -2,17 +2,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from lefpen.transversal import morse
 from lefpen.transversal.cutoff import build_cutoff
 from lefpen.transversal.localtrans import CPoly, LocalTransInstance, TransversalityCertificate, eta_margin
 from lefpen.transversal.morse import (
     BLOCK_ENTRIES,
     FD_SAMPLES,
     FD_SEED,
+    SVD_ROWS,
     CriticalPoint,
     DeformedMorse,
     MorseModel,
+    _eta_observed,
     _quadratic_jets,
+    _row_norms,
     deform_fd_check,
     deform_grid,
     verify_deform_bounds,
@@ -488,3 +495,84 @@ def test_circle_pair_wrappers(deformed):
     assert rep["circle_pair"]["max_first_derivative"] > 0
     assert rep["circle_pair"]["max_first_derivative"] <= rep["maxGrad"] + 1e-9
     assert rep["circle_pair"]["max_second_derivative"] > 0
+
+
+def eta_observed_reference(grads, hess):
+    """etaObserved from one SVD over every row, before the SVDs were pruned."""
+    return eta_margin(grads, np.linalg.svd(hess, compute_uv=False)[:, -1])
+
+
+def assert_same_margin(grads, hess):
+    try:
+        want = eta_observed_reference(grads, hess)
+    except np.linalg.LinAlgError:  # a NaN Hessian: the pruned margin raises too
+        with pytest.raises(np.linalg.LinAlgError):
+            _eta_observed(grads, hess)
+        return
+    got = _eta_observed(grads, hess)
+    assert got == want or (np.isnan(got) and np.isnan(want)), (got, want)
+
+
+@given(st.data())
+def test_pruned_eta_margin_equals_the_full_svd(data):
+    rows, n = data.draw(st.integers(0, 3 * SVD_ROWS)), data.draw(st.integers(1, 3))
+    ties = st.sampled_from([0.0, 0.5, 1.0, 2.0])  # tied and zero gradients
+    grads = data.draw(arrays(float, rows, elements=st.one_of(ties, st.floats(0.0, 4.0))))
+    if rows and data.draw(st.booleans()):
+        grads[:] = grads[0]  # all equal
+    hess = data.draw(arrays(float, (rows, n, n), elements=st.floats(-4.0, 4.0)))
+    for _ in range(data.draw(st.integers(0, 2)) if rows else 0):  # a few infinite or NaN entries
+        value, i = data.draw(st.sampled_from([np.inf, np.nan])), data.draw(st.integers(0, rows - 1))
+        if data.draw(st.booleans()):
+            grads[i] = value
+        else:
+            hess[(i,) + tuple(data.draw(st.integers(0, n - 1)) for _ in range(2))] = value
+    assert_same_margin(grads, hess)
+
+
+def last_row(value, rows=200):
+    """Singular Hessians but the last, which holds value: with |grad| ascending
+    from 0 the margin is 0 after one chunk, and the last row is never reached."""
+    return np.where(np.arange(rows)[:, None, None] == rows - 1, value, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "grads, hess",
+    [
+        (np.zeros(0), np.zeros((0, 2, 2))),
+        (np.zeros(200), np.ones((200, 1, 1))),
+        (np.full(200, np.inf), np.ones((200, 2, 2))),
+        (np.append(np.linspace(0.0, 1.0, 199), np.nan), last_row(1.0)),
+        (np.linspace(0.0, 1.0, 200), last_row(np.inf)),
+        (np.linspace(0.0, 1.0, 200), last_row(np.nan)),
+        # the first chunk leaves the margin at 0.5; the second chunk straddles it and lowers it to 0.4
+        (
+            np.concatenate([np.linspace(0.0, 0.3, SVD_ROWS), np.linspace(0.4, 0.9, SVD_ROWS)]),
+            np.where(np.arange(2 * SVD_ROWS)[:, None, None] == SVD_ROWS, 0.0, 0.5 * np.eye(2)),
+        ),
+    ],
+    ids=[
+        "empty", "zero-gradients", "infinite-gradients", "nan-gradient", "infinite-hessian", "nan-hessian",
+        "minimum-in-a-later-chunk",
+    ],
+)
+def test_pruned_eta_margin_edge_stacks(grads, hess):
+    assert_same_margin(grads, hess)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("k, D", [(1e3, 1), (1e4, 2), (1e5, 1)])
+def test_deform_bounds_eta_matches_the_full_svd_reference(monkeypatch, n, k, D):
+    h = DeformedMorse(MorseModel.quadratic(n, value=0.5), build_cutoff(k, D, 1.0))
+    grid = deform_grid(h.model, h.profile)
+    _, g, hess, _ = h.jets(grid)
+    want = eta_observed_reference(_row_norms(g), hess)
+    svd, seen = np.linalg.svd, []
+
+    def spy(a, **kwargs):
+        seen.append(len(a))
+        return svd(a, **kwargs)
+
+    monkeypatch.setattr(morse.np.linalg, "svd", spy)
+    assert verify_deform_bounds(h, grid)["etaObserved"] == want
+    assert sum(seen) <= 3 * SVD_ROWS  # only chunks that start below the running margin, of 399 or 4,777 rows
