@@ -16,7 +16,10 @@ scale is sigma = delta (log(1/delta))^(-p) with |w0| < delta.
 
 Everything here is desk scale: square grids, a numpy labelling of the
 clear region's components in the w-disc, and an independent
-re-verification of every certificate on a finer grid.
+re-verification of every certificate on a finer grid.  Each disc grid
+is built once per (radius, resolution) in a process (_disc keeps the
+last GRID_CACHE of them): its in-disc mask and points are read-only and
+shared by every caller, and the square they are cut from is not kept.
 
 Every polynomial value comes from CPoly's Horner rule, whose products are
 all array x array, so a value's bits depend on its point alone.  The
@@ -37,6 +40,7 @@ open, and give the bits the all-pairs distance would.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 
@@ -51,6 +55,9 @@ REVERIFY_FACTOR = 2  # reverify's grid is about this many times finer
 BLOCK_ENTRIES = 1 << 16
 CELLS = 16  # cells per side of the bucket grid over the w-disc points
 SLACK = 1e-9  # relative widening of every cell bound, far above float rounding
+# disc grids kept per process: every (radius, resolution) of one refined
+# verify localtrans run, so a sweep over delta cannot grow memory without limit
+GRID_CACHE = 8
 
 
 class VerificationError(RuntimeError):
@@ -91,11 +98,24 @@ def _walk(polys, z):
         yield block, [p(z[block]) for p in polys]
 
 
-def ball_grid(radius, resolution):
-    """A square grid's points in the disc of the radius in C, as a flat array."""
+@functools.lru_cache(maxsize=GRID_CACHE)
+def _disc(radius, resolution):
+    """(inside, points) of the resolution x resolution square grid over
+    [-radius, radius]^2 in C: the flat raster mask of the points in the
+    disc of the radius, and those points in raster order.  Both are
+    read-only, and the square itself is not kept."""
     axis = np.linspace(-radius, radius, resolution)
-    z = (axis[:, None] + 1j * axis[None, :]).ravel()
-    return z[np.abs(z) <= radius]
+    square = (axis[:, None] + 1j * axis[None, :]).ravel()
+    inside = np.abs(square) <= radius
+    points = square[inside]
+    inside.flags.writeable = points.flags.writeable = False
+    return inside, points
+
+
+def ball_grid(radius, resolution):
+    """A square grid's points in the disc of the radius in C, as a flat
+    read-only array, built once per (radius, resolution)."""
+    return _disc(radius, resolution)[1]
 
 
 def sigma_of(delta, pexp):
@@ -312,11 +332,9 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
     if residual > 1e-10:
         raise VerificationError("graph residual %g exceeds 1e-10" % residual)
 
-    axis = np.linspace(-inst.delta, inst.delta, w_resolution)
-    w_flat = (axis[:, None] + 1j * axis[None, :]).ravel()
-    in_disc = np.abs(w_flat) <= inst.delta
-    free = np.zeros(w_flat.shape, dtype=bool)
-    free[in_disc] = _clear(w_flat[in_disc], bad_images, C * sigma)
+    in_disc, w_disc = _disc(inst.delta, w_resolution)
+    free = np.zeros(in_disc.shape, dtype=bool)
+    free[in_disc] = _clear(w_disc, bad_images, C * sigma)
     free = free.reshape(w_resolution, w_resolution)
 
     labels, count = _label_components(free)
@@ -324,8 +342,9 @@ def _attempt(inst, graph_resolution, w_resolution, verify_resolution):
         return "no clear region in the w-disc"
     sizes = np.bincount(labels[free], minlength=count)
     main = int(np.argmax(sizes))
+    axis = np.linspace(-inst.delta, inst.delta, w_resolution)
     clearance_area = float(sizes[main] * (axis[1] - axis[0]) ** 2)
-    main_points = w_flat[(labels == main).ravel()]
+    main_points = w_disc[labels.ravel()[in_disc] == main]
     w0 = complex(main_points[_farthest(main_points, bad_images)])
 
     margin, worst = _verify(inst, w0, ball_grid(1.0, verify_resolution))

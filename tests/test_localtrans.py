@@ -32,6 +32,60 @@ def normalized(coeffs, sup_target=1.0, resolution=101):
     return poly.scaled(sup_target / sup)
 
 
+# the reference for ball_grid: the whole square, built and masked on every call
+def ball_grid_reference(radius, resolution):
+    axis = np.linspace(-radius, radius, resolution)
+    square = (axis[:, None] + 1j * axis[None, :]).ravel()
+    return square[np.abs(square) <= radius]
+
+
+def test_ball_grid_matches_reference():
+    # the cached points have the reference's bits, shape and raster order,
+    # and the cached mask is the square's own, on the verify, graph and w
+    # discs and on grids of no point, of the corners only and of either parity
+    for radius in (1.0, 1.1, 0.1, 0.45, 1e-3):
+        for res in (0, 1, 2, 3, 4, 21, 101, 200, 201, 401):
+            axis = np.linspace(-radius, radius, res)
+            square = (axis[:, None] + 1j * axis[None, :]).ravel()
+            inside, points = localtrans._disc(radius, res)
+            want = ball_grid_reference(radius, res)
+            assert ball_grid(radius, res) is points
+            assert points.dtype == want.dtype and points.shape == want.shape
+            assert points.tobytes() == want.tobytes()
+            assert inside.shape == square.shape and np.array_equal(inside, np.abs(square) <= radius)
+
+
+def test_ball_grid_is_built_once_and_read_only():
+    grid = ball_grid(1.0, 201)
+    assert ball_grid(1.0, 201) is grid
+    for array in (grid, localtrans._disc(1.0, 201)[0]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            array *= 1
+
+
+def test_grid_cache_holds_one_refined_trial(monkeypatch):
+    # a refined trial reads every grid the cache is sized for: the sup grid,
+    # the graph, w and verify grids of both passes, and reverify's grid of
+    # the refined pass; each is built once, and a second trial builds none
+    attempt = localtrans._attempt
+
+    def refine(inst, *grids):
+        result = attempt(inst, *grids)
+        return result if grids[0] != 201 else "the first pass is refused"
+
+    monkeypatch.setattr(localtrans, "_attempt", refine)
+    rng = np.random.default_rng(0)
+    localtrans._disc.cache_clear()
+    for trial in range(2):
+        inst = random_instance(rng)
+        cert = find_good_w0(inst)
+        assert cert.grid["verify_resolution"] == 401 and reverify(inst, cert)
+        info = localtrans._disc.cache_info()
+        assert info.misses == info.currsize == info.maxsize == localtrans.GRID_CACHE == 8
+
+
 def test_cpoly_eval_and_deriv():
     p = CPoly([1, 2, 3])  # 1 + 2z + 3z^2
     assert p(np.array([2.0 + 0j]))[0] == pytest.approx(17.0)
@@ -517,9 +571,7 @@ def test_nearest_distance_blocks_match_one_block():
 
 # _clear and _farthest against the all-pairs distance
 def _disc_points(res, delta=0.1):
-    axis = np.linspace(-delta, delta, res)
-    w = (axis[:, None] + 1j * axis[None, :]).ravel()
-    return w[np.abs(w) <= delta]
+    return ball_grid_reference(delta, res)
 
 
 def _assert_matches_all_pairs(points, targets, radius):
@@ -674,6 +726,7 @@ def test_find_good_w0_memory_stays_blocked():
     # targets array is cut into BLOCK_ENTRIES blocks, so the traced peak
     # stays near the grids' own size; one unblocked array would take GBs
     inst = random_instance(np.random.default_rng(0), delta=0.45, pexp=1)
+    localtrans._disc.cache_clear()  # so the grids' first build is traced too
     tracemalloc.start()
     try:
         with pytest.raises(VerificationError):
@@ -682,3 +735,41 @@ def test_find_good_w0_memory_stays_blocked():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+# the w-disc pick as _attempt made it before the grids were cached: the
+# whole w square, and the main component's points as w_flat[labels == main]
+def _attempt_reference(inst, graph_resolution, w_resolution, verify_resolution):
+    """(main component's points, w0, margin, clearance_area) of one pass
+    that finds a clear region."""
+    _, bad_images = localtrans._near_critical(inst, ball_grid_reference(1.1, graph_resolution))
+    axis = np.linspace(-inst.delta, inst.delta, w_resolution)
+    w_flat = (axis[:, None] + 1j * axis[None, :]).ravel()
+    in_disc = np.abs(w_flat) <= inst.delta
+    free = np.zeros(w_flat.shape, dtype=bool)
+    free[in_disc] = localtrans._clear(w_flat[in_disc], bad_images, localtrans.C * inst.sigma)
+    labels, count = localtrans._label_components(free.reshape(w_resolution, w_resolution))
+    sizes = np.bincount(labels[labels >= 0], minlength=count)
+    main = int(np.argmax(sizes))
+    main_points = w_flat[(labels == main).ravel()]
+    w0 = complex(main_points[localtrans._farthest(main_points, bad_images)])
+    margin = localtrans._verify(inst, w0, ball_grid_reference(1.0, verify_resolution))[0]
+    return main_points, w0, margin, float(sizes[main] * (axis[1] - axis[0]) ** 2)
+
+
+def test_attempt_w_disc_pick_matches_reference(monkeypatch):
+    # the pick over the cached in-disc points hands _farthest the old pick's
+    # points in raster order, where the first of tied maxima wins, so w0,
+    # the margin and the area come out the same
+    seen = []
+    farthest = localtrans._farthest
+    monkeypatch.setattr(localtrans, "_farthest", lambda points, targets: seen.append(points) or farthest(points, targets))
+    for seed in range(4):
+        inst = random_instance(np.random.default_rng(seed))
+        for grids in ((201, 201, 201), (401, 401, 401)):
+            seen.clear()
+            cert = localtrans._attempt(inst, *grids)
+            got = seen[0]
+            points, *want = _attempt_reference(inst, *grids)
+            assert got.tobytes() == points.tobytes()
+            assert [cert.w0, cert.margin, cert.clearance_area] == want
