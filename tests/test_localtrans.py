@@ -570,10 +570,6 @@ def test_nearest_distance_blocks_match_one_block():
 
 
 # _clear and _farthest against the all-pairs distance
-def _disc_points(res, delta=0.1):
-    return ball_grid_reference(delta, res)
-
-
 def _assert_matches_all_pairs(points, targets, radius):
     dist = localtrans._nearest_distance(points, targets)
     assert np.array_equal(localtrans._clear(points, targets, radius), dist > radius)
@@ -596,14 +592,14 @@ def _rim_targets(points, radius):
 
 
 def test_clear_and_farthest_empty_bad_set():
-    points = _disc_points(41)
+    points = ball_grid_reference(0.1, 41)
     assert localtrans._clear(points, np.zeros(0, dtype=complex), 0.01).all()
     assert localtrans._farthest(points, np.zeros(0, dtype=complex)) == 0  # the first main-component cell
 
 
 def test_clear_and_farthest_one_and_far_targets():
     rng = np.random.default_rng(5)
-    points = _disc_points(61)
+    points = ball_grid_reference(0.1, 61)
     for scale in (0.05, 1.0, 100.0):  # inside the disc, around it, far outside
         for n in (1, 7):
             targets = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -614,7 +610,7 @@ def test_clear_and_farthest_one_and_far_targets():
 def test_clear_targets_exactly_at_the_radius():
     # the radius is the float distance of a chosen point: it is not clear
     rng = np.random.default_rng(6)
-    points = _disc_points(81)
+    points = ball_grid_reference(0.1, 81)
     for _ in range(40):
         targets = 0.1 * (rng.normal(size=3) + 1j * rng.normal(size=3))
         radius = float(np.abs(points[rng.integers(points.size)] - targets[0]))
@@ -626,7 +622,7 @@ def _rim_cases():
     # radius + h halves each on its own
     rng = np.random.default_rng(7)
     for res, delta in ((61, 0.1), (101, 0.37), (41, 3.0)):
-        points = _disc_points(res, delta)
+        points = ball_grid_reference(delta, res)
         for _ in range(8):
             radius = float(rng.uniform(0.05, 0.6)) * delta
             rim = _rim_targets(points, radius)
@@ -680,7 +676,7 @@ def test_clear_points_on_cell_edges():
 
 def test_clear_and_farthest_bad_set_beyond_one_block():
     rng = np.random.default_rng(10)
-    points = _disc_points(41)
+    points = ball_grid_reference(0.1, 41)
     n = localtrans.BLOCK_ENTRIES + 123
     targets = 0.3 * (rng.normal(size=n) + 1j * rng.normal(size=n))
     targets = targets[np.abs(targets) > 0.04]  # leave a clear hole around the centre
@@ -698,7 +694,7 @@ def test_clear_and_farthest_on_instance_bad_sets():
             w, _ = localtrans._graph(inst.p(z), inst.q(z))
             l = np.abs(inst.p.deriv()(z) - np.conj(w) * inst.q.deriv()(z))
             radius = localtrans.C * inst.sigma
-            _assert_matches_all_pairs(_disc_points(201, delta), w[l <= radius], radius)
+            _assert_matches_all_pairs(ball_grid_reference(delta, 201), w[l <= radius], radius)
 
 
 @given(
@@ -707,7 +703,7 @@ def test_clear_and_farthest_on_instance_bad_sets():
     radius=st.floats(0.0, 3.0),
 )
 def test_clear_and_farthest_match_all_pairs(res, targets, radius):
-    _assert_matches_all_pairs(_disc_points(res, 1.0), targets, radius)
+    _assert_matches_all_pairs(ball_grid_reference(1.0, res), targets, radius)
 
 
 @given(
@@ -715,7 +711,7 @@ def test_clear_and_farthest_match_all_pairs(res, targets, radius):
     targets=arrays(complex, st.integers(0, 30), elements=st.complex_numbers(max_magnitude=2.0, allow_nan=False)),
 )
 def test_bounds_bracket_the_nearest_distance(res, targets):
-    points = _disc_points(res, 1.0)
+    points = ball_grid_reference(1.0, res)
     cell, low, high = localtrans._bounds(points, targets)
     dist = localtrans._nearest_distance(points, targets)
     assert np.all(low[cell] <= dist) and np.all(dist <= high[cell])
