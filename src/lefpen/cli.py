@@ -26,10 +26,9 @@ import sys
 from .words import braid_from_str, braid_to_str, word_to_str
 from .fiber import cycle_to_json
 from .pencil import (
-    arc_labels,
+    _labelled_arcs,
     automorphism_from_json,
     classify_labels,
-    enumerate_arcs,
     hurwitz_apply,
     in_gamma_detail,
     pencil_from_json,
@@ -90,8 +89,7 @@ def cmd_pencil_matching(args):
     if args.max_len < 0:
         raise ValueError("--max-len must be >= 0")
     rows = []
-    for a in enumerate_arcs(P, args.max_len):
-        eta1, eta2, s1, s2 = arc_labels(a, P)
+    for a, eta1, eta2, s1, s2 in _labelled_arcs(P, args.max_len):
         cls = classify_labels(s1, s2, trust_algebraic=args.trust_algebraic)
         rows.append(
             {

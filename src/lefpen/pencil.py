@@ -27,7 +27,9 @@ and the total monodromy zeta(x_1 .. x_r) never changes.  The labels of
 phi_u(x_1 .. x_r) are L o phi_u, so moves, orbits, Gamma checks and arc
 labels fold a one-twist step, _move, over u's letters.  So Gamma is the
 stabilizer of the Hurwitz action: (b, g) lies in Gamma exactly when the
-move by b^(-1) sends the pencil to (g(c_1), .., g(c_r)).
+move by b^(-1) sends the pencil to (g(c_1), .., g(c_r)).  Matching walks
+the carrier tree once: each distinct prefix of a kept carrier is moved by one
+_move from its parent's pencil, and arc labels are read off the carrier's.
 
 Arcs between critical values are classified through their supporting pair
 of words (eta', eta'') and the cycles S' = L(eta'), S'' = L(eta''):
@@ -276,12 +278,16 @@ def in_gamma_detail(A, P):
 
 
 def arc_labels(a, P):
-    """(eta', eta'', S', S'') for an arc over the pencil's critical values.  With Q the
-    fold of _move over the carrier, S' = Q's c_b and S'' = twist(c_b) Q's c_{b+1}, b the base."""
+    """(eta', eta'', S', S'') for an arc over the pencil's critical values, S' and S'' read
+    off Q, the fold of _move over the carrier (see _read_labels)."""
     if a.strands != P.r:
         raise RankMismatch("arc strand count %d does not match pencil size %d" % (a.strands, P.r))
-    Q = reduce(_move, a.carrier.letters, P)
-    return (*supporting_pair(a), Q.cycles[a.base - 1], Q.twist_cycle(a.base, Q.cycles[a.base]))
+    return (*supporting_pair(a), *_read_labels(reduce(_move, a.carrier.letters, P), a.base))
+
+
+def _read_labels(Q, base):
+    """(S', S'') on base, Q the pencil moved by the carrier: c_b, and c_{b+1} twisted about c_b."""
+    return Q.cycles[base - 1], Q.twist_cycle(base, Q.cycles[base])
 
 
 def classify_arc(a, P, trust_algebraic=False):
@@ -378,13 +384,12 @@ def arc_key(a):
     Both words are conjugated by the inverse of the peeled prefix w of
     eta' = w x_core w^(-1), turning eta' into the bare generator x_core.
     """
-    return _key(a.carrier._images(), a.base)
+    return _pair_key(*_pair_letters(a.carrier._images(), a.base))
 
 
-def _key(img, base):
-    """arc_key of the arc on base whose carrier has the raw images img."""
-    eta1, eta2 = _pair_letters(img, base)
-    lo = _core_at(eta1)
+def _pair_key(eta1, eta2):
+    """arc_key of the raw pair from _pair_letters, which asserts eta1 = w x_core w^(-1): x_core is its middle."""
+    lo = len(eta1) // 2
     return eta1[lo], _join(_join(_inverse(eta1[:lo]), eta2), eta1[:lo])
 
 
@@ -412,6 +417,22 @@ def _carrier_words(r, max_len):
             ]
 
 
+def _kept_arcs(P, max_carrier_len):
+    """(arc, raw eta', raw eta'') for each arc of enumerate_arcs, in its order."""
+    if max_carrier_len < 0:
+        raise ValueError("carrier length bound must be >= 0")
+    seen = set()
+    for word, img in _carrier_words(P.r, max_carrier_len):
+        for base in range(1, P.r):
+            if word and abs(abs(word[-1]) - base) >= 2:
+                continue
+            pair = _pair_letters(img, base)
+            key = _pair_key(*pair)
+            if key not in seen:
+                seen.add(key)
+                yield (Arc(base, _new(Braid, strands=P.r, letters=word, _action=img)), *pair)
+
+
 def enumerate_arcs(P, max_carrier_len):
     """All arcs with carrier word length <= L, deduplicated by supporting pair.
 
@@ -423,22 +444,27 @@ def enumerate_arcs(P, max_carrier_len):
     the carrier without it.  Skipping is by word only, never by key.  Pairs
     and keys are read off each node's images; kept carriers carry them preset.
     """
-    if max_carrier_len < 0:
-        raise ValueError("carrier length bound must be >= 0")
-    seen, out = set(), []
-    for word, img in _carrier_words(P.r, max_carrier_len):
-        for base in range(1, P.r):
-            if word and abs(abs(word[-1]) - base) >= 2:
-                continue
-            key = _key(img, base)
-            if key not in seen:
-                seen.add(key)
-                out.append(Arc(base, _new(Braid, strands=P.r, letters=word, _action=img)))
-    return out
+    return [a for a, _, _ in _kept_arcs(P, max_carrier_len)]
+
+
+def _labelled_arcs(P, max_carrier_len):
+    """(a, *arc_labels(a, P)) for each arc a of enumerate_arcs, in its order: the pair its key
+    was built from, and one _move per distinct carrier prefix, from its parent's pencil."""
+    moved = {(): P}
+    for a, eta1, eta2 in _kept_arcs(P, max_carrier_len):
+        word = a.carrier.letters
+        k = len(word)
+        while word[:k] not in moved:
+            k -= 1
+        Q = moved[word[:k]]
+        for j in range(k, len(word)):
+            Q = moved[word[: j + 1]] = _move(Q, word[j])
+        eta1, eta2 = _new(FreeWord, rank=P.r, letters=eta1), _new(FreeWord, rank=P.r, letters=eta2)
+        yield (a, eta1, eta2, *_read_labels(Q, a.base))
 
 
 def enumerate_matching_arcs(P, max_carrier_len):
-    return [a for a in enumerate_arcs(P, max_carrier_len) if classify_arc(a, P).kind == MATCHING]
+    return [a for a, _, _, s1, s2 in _labelled_arcs(P, max_carrier_len) if classify_labels(s1, s2).kind == MATCHING]
 
 
 def _closure(start, neighbours, depth, key):

@@ -55,6 +55,7 @@ from lefpen.pencil import (
     Automorphism,
     Pencil,
     _closure,
+    _labelled_arcs,
     _move,
     arc_labels,
     automorphism_from_json,
@@ -457,6 +458,18 @@ def test_arc_labels_are_the_reference_labels_of_the_supporting_pair(case, data):
     eta1, eta2, s1, s2 = arc_labels(a, P)
     assert (eta1, eta2) == supporting_pair(a)
     assert (s1, s2) == (reference_label(P, eta1), reference_label(P, eta2))
+
+
+@LAWS
+@given(st.data())
+def test_labelled_arcs_are_the_enumerated_arcs_with_their_labels(data):
+    # the walk of pencil matching: one _move per carrier prefix, the pair its key was built from
+    P = data.draw(pencils(min_r=2))
+    max_len = data.draw(st.integers(0, 2 if P.fiber.kind == "disc" else 3))
+    walked = list(_labelled_arcs(P, max_len))
+    assert walked == [(a, *arc_labels(a, P)) for a in enumerate_arcs(P, max_len)]
+    for _, eta1, eta2, s1, s2 in walked:
+        assert (s1, s2) == (reference_label(P, eta1), reference_label(P, eta2))
 
 
 @LAWS

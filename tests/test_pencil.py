@@ -1,3 +1,6 @@
+import argparse
+import gc
+import json
 import random
 import re
 from functools import lru_cache
@@ -7,6 +10,7 @@ import pytest
 
 import lefpen.pencil
 import lefpen.words
+from lefpen.cli import cmd_pencil_matching
 from lefpen.words import Arc, Braid, FreeWord, RankMismatch, artin_apply, braid_to_str, half_twist, word_from_str
 from lefpen.fiber import (
     Cycle,
@@ -29,6 +33,7 @@ from lefpen.pencil import (
     HypothesisError,
     Pencil,
     _carrier_words,
+    _labelled_arcs,
     arc_key,
     arc_labels,
     automorphism_from_arc,
@@ -497,6 +502,39 @@ def test_enumerate_arcs_reads_actions_off_the_carrier_tree(monkeypatch, max_len)
         assert arc_key(a) == arc_key(Arc(a.base, fresh))
         keys.add(arc_key(a))
     assert len(keys) == len(arcs)
+
+
+def test_labelled_arcs_move_once_per_carrier_prefix(monkeypatch):
+    # each distinct non-empty prefix of a kept carrier is moved once, from its
+    # parent's pencil; arc_labels folds every carrier from P
+    moves = []
+    move = lefpen.pencil._move
+    monkeypatch.setattr(lefpen.pencil, "_move", lambda Q, s: moves.append(s) or move(Q, s))
+    carriers = [a.carrier.letters for a, *_ in _labelled_arcs(P_ABAB, 4)]
+    prefixes = {w[:k] for w in carriers for k in range(1, len(w) + 1)}
+    assert (len(carriers), len(prefixes), len(moves)) == (320, 281, 281)
+    moves.clear()
+    for a in enumerate_arcs(P_ABAB, 4):
+        arc_labels(a, P_ABAB)
+    assert len(moves) == sum(map(len, carriers)) == 1116
+
+
+def test_pencil_matching_leaves_no_moved_pencil_behind(tmp_path):
+    # with the collector off, a moved pencil held by a reference cycle would outlive the call
+    path = tmp_path / "abab.json"
+    path.write_text(json.dumps(pencil_to_json(P_ABAB)))
+    args = argparse.Namespace(file=str(path), max_len=4, trust_algebraic=False)
+    count = lambda: sum(isinstance(x, Pencil) for x in gc.get_objects())
+    gc.collect()
+    gc.disable()
+    try:
+        before = count()
+        report, ok = cmd_pencil_matching(args)
+        after = count()
+    finally:
+        gc.enable()
+    assert ok and len(report["arcs"]) == 320
+    assert after <= before
 
 
 SKIP_RULES = {
